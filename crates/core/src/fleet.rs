@@ -60,29 +60,25 @@
 //! timeline fair-shares one device's SMs across all streams and would
 //! model N members as one device at 1/N speed. The merged ops are still
 //! kept on the report for span/trace export.
+//!
+//! [`FaultTally`]: crate::serve::FaultTally
 
 use cusfft_telemetry::fmt_f64;
 use gpu_sim::{
-    concurrency_profile, fault_roll, merge_op_groups, schedule, BreakerConfig, BreakerDecision,
-    CircuitBreaker, DeviceSpec, FaultClass, FaultConfig, GpuDevice, MemPool, Op, StandbySlabs,
-    StandbyStats, DEFAULT_STREAM,
+    fault_roll, BreakerConfig, BreakerDecision, CircuitBreaker, DeviceSpec, FaultClass,
+    FaultConfig, GpuDevice, MemPool, StandbySlabs, StandbyStats, DEFAULT_STREAM,
 };
 use std::sync::Arc;
 
-use crate::audit::{finalize_audit, AuditLog, SloConfig};
-use crate::backend::{
-    worker_device, Backend, BackendKind, BackendRegistry, GpuSimBackend, SfftCpuBackend,
-};
+use crate::audit::AuditLog;
+use crate::backend::{worker_device, Backend, BackendRegistry, GpuSimBackend};
 use crate::error::CusFftError;
-use crate::overload::{
-    path_latency_summary, recover_group_loss, run_group_on_device, GroupRun, LatencyStats,
-    OverloadTally,
-};
+use crate::overload::OverloadTally;
 use crate::plan_cache::{PlanKey, ServeQos};
 use crate::serve::{
-    merge_rollups, FaultTally, GroupInfo, GroupTelemetry, PoolTally, RequestOutcome, ServeConfig,
-    ServeEngine, ServePath, ServeReport, ServeRequest, ServeResponse, ServeTimeline,
+    GroupInfo, RequestOutcome, ServeConfig, ServeEngine, ServeReport, ServeRequest,
 };
+use crate::serve_core::{run_fresh, serve_on_cpu, Clock, Group, Served, Stages, Target};
 
 /// One fleet member: a device spec plus an optional member-local fault
 /// plan overriding [`ServeConfig::faults`] (this is how a test or
@@ -225,14 +221,14 @@ pub struct FleetDeviceInfo {
 struct Placement {
     gid: usize,
     member: usize,
+    /// The group's modeled cost on each member, as routing priced it.
+    est: Vec<f64>,
     /// `MemPool` reservation granule (primary placements).
     granule: Option<u64>,
     /// Standby-slab slot (failover placements — no pool traffic).
     slab_slot: Option<usize>,
     /// Whether this placement is the member's HalfOpen probe.
     probe: bool,
-    /// Whether this placement arrived via failover.
-    failover: bool,
 }
 
 /// Per-member fleet-salted fault scope: bits 44+ are disjoint from the
@@ -427,40 +423,19 @@ impl DeviceFleet {
         let control = worker_device(&specs[0], None);
 
         let (mut groups, prefailed) = self.engine.group_requests(requests);
-        let mut outcomes: Vec<Option<RequestOutcome>> =
-            (0..requests.len()).map(|_| None).collect();
+        let mut served = Served::new(requests.len());
 
         // Flight recorder: the batch root plus per-request invalid
         // verdicts up front; routing/lifecycle decisions stream in as
         // the coordinator makes them.
-        let mut alog = if cfg.audit {
-            let mut a = AuditLog::new();
-            a.record(
-                0.0,
-                None,
-                None,
-                "batch_admitted",
-                vec![
-                    ("requests".into(), requests.len().to_string()),
-                    ("groups".into(), groups.len().to_string()),
-                    ("members".into(), nmembers.to_string()),
-                ],
-            );
-            for (idx, err) in &prefailed {
-                a.record(
-                    0.0,
-                    Some(*idx),
-                    None,
-                    "invalid",
-                    vec![("reason".into(), err.to_string())],
-                );
-            }
-            Some(a)
-        } else {
-            None
-        };
+        let members = nmembers.to_string();
+        let mut alog =
+            self.engine
+                .open_audit(requests.len(), groups.len(), &[("members", &members)]);
+        for (idx, err) in prefailed {
+            served.reject(idx, err, 0.0, &mut alog);
+        }
         let mut seen_tr = vec![0usize; nmembers];
-        let mut completion_of = vec![0.0f64; groups.len()];
 
         // Standby counters are cumulative on the slabs; snapshot for a
         // per-call tally.
@@ -481,18 +456,22 @@ impl DeviceFleet {
         // one more.
         let mut member_clock = vec![0.0f64; nmembers];
         let mut cpu_clock = 0.0f64;
+        let mut clock = Clock {
+            completion: vec![0.0; groups.len()],
+            order: Vec::with_capacity(groups.len()),
+        };
         let mut member_groups = vec![0u64; nmembers];
         let mut member_failovers_in = vec![0u64; nmembers];
         let mut member_drains = vec![0u64; nmembers];
         let mut fleet_tally = FleetTally::default();
-        let mut faults = FaultTally::default();
         let mut overload = OverloadTally::default();
         let mut final_member: Vec<Option<usize>> = vec![None; groups.len()];
         let mut cpu_short_circuit = vec![false; groups.len()];
-        let mut tels: Vec<GroupTelemetry> = Vec::new();
-        let mut op_groups: Vec<Vec<Op>> = Vec::new();
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut class_samples: Vec<(ServePath, ServeQos, f64)> = Vec::new();
+        // Members a group may be placed on outright: up, not quarantined,
+        // breaker closed.
+        let healthy = |m: usize, lost: &[bool], drained: &[bool], breakers: &[CircuitBreaker]| {
+            !lost[m] && !drained[m] && breakers[m].state() == gpu_sim::BreakerState::Closed
+        };
 
         // Modeled relative speed per member, for the brownout trigger.
         // Priced on the first group's geometry (any fixed yardstick
@@ -532,14 +511,7 @@ impl DeviceFleet {
                             qos: ServeQos::Degraded,
                             ..requests[groups[gid].indices[0]].plan_key()
                         };
-                        // Invariant: the group exists, so its backend is
-                        // registered and the degraded key resolves.
-                        let plan = self
-                            .engine
-                            .cache
-                            .get_or_build(&self.engine.home, &self.engine.registry, key)
-                            .expect("grouped requests resolve to registered backends");
-                        groups[gid].plan = plan;
+                        groups[gid].plan = self.engine.plan(key);
                         groups[gid].qos = ServeQos::Degraded;
                         fleet_tally.brownout_groups += 1;
                         rekeyed = true;
@@ -618,7 +590,7 @@ impl DeviceFleet {
                 // Open breakers first: a suspect member takes at most
                 // its HalfOpen probe (drain quarantine bars even that
                 // until its cooldown elapses).
-                let mut placed = false;
+                let mut probe = None;
                 for m in 0..nmembers {
                     if lost[m]
                         || breakers[m].state() != gpu_sim::BreakerState::Open
@@ -635,69 +607,34 @@ impl DeviceFleet {
                         &breakers[m],
                         &mut seen_tr[m],
                     );
-                    match decision {
-                        BreakerDecision::Probe => {
-                            if let Ok(granule) = self.pools[m].try_reserve(predicted_bytes) {
-                                fleet_tally.drain_probes += 1;
-                                overload.breaker_probes += 1;
-                                control.charge_host_op("breaker:probe", 0.0, DEFAULT_STREAM);
-                                queue_clock[m] += est[m];
-                                placements.push(Placement {
-                                    gid,
-                                    member: m,
-                                    granule: Some(granule),
-                                    slab_slot: None,
-                                    probe: true,
-                                    failover: false,
-                                });
-                                placed = true;
-                            }
-                            break;
-                        }
-                        // Cooldown ticked; the member stays dark to this
-                        // group.
-                        BreakerDecision::ShortCircuit => {}
-                        BreakerDecision::Admit => {}
-                    }
-                    if placed {
+                    // ShortCircuit: the cooldown ticked and the member
+                    // stays dark to this group.
+                    if decision == BreakerDecision::Probe {
+                        probe = self.pools[m]
+                            .try_reserve(predicted_bytes)
+                            .ok()
+                            .map(|g| (m, g));
                         break;
                     }
                 }
-                if placed {
-                    if let Some(a) = alog.as_mut() {
-                        let m = placements.last().map(|p| p.member).unwrap_or(0);
-                        let mut attrs = cand_attrs;
-                        attrs.push(("chosen".into(), format!("m{m}")));
-                        attrs.push(("probe".into(), "true".into()));
-                        a.record(epoch_ts, None, Some(gid), "router_placement", attrs);
+                let choice = match probe {
+                    Some((m, granule)) => {
+                        fleet_tally.drain_probes += 1;
+                        overload.breaker_probes += 1;
+                        control.charge_host_op("breaker:probe", 0.0, DEFAULT_STREAM);
+                        Some((m, granule, true))
                     }
-                    fleet_tally.routed_groups += 1;
-                    continue;
-                }
-
-                // Deterministic cost/queue/headroom/health argmin over
-                // healthy members.
-                let mut best: Option<(usize, f64)> = None;
-                for m in 0..nmembers {
-                    if lost[m]
-                        || drained[m]
-                        || breakers[m].state() != gpu_sim::BreakerState::Closed
-                        || self.pools[m].free() < predicted_bytes
-                    {
-                        continue;
-                    }
-                    let score = (queue_clock[m] + est[m]) * (2.0 - health[m]);
-                    let better = match best {
-                        None => true,
-                        // Strict less-than: ties go to the lowest id.
-                        Some((_, s)) => score < s,
-                    };
-                    if better {
-                        best = Some((m, score));
-                    }
-                }
-                match best {
-                    Some((m, _)) => {
+                    // Deterministic cost/queue/headroom/health argmin
+                    // over healthy members.
+                    None => argmin(
+                        nmembers,
+                        |m| {
+                            healthy(m, &lost, &drained, &breakers)
+                                && self.pools[m].free() >= predicted_bytes
+                        },
+                        |m| (queue_clock[m] + est[m]) * (2.0 - health[m]),
+                    )
+                    .map(|m| {
                         breakers[m].admit(gid);
                         audit_transitions(
                             &mut alog,
@@ -707,39 +644,43 @@ impl DeviceFleet {
                             &breakers[m],
                             &mut seen_tr[m],
                         );
-                        if let Some(a) = alog.as_mut() {
-                            let mut attrs = cand_attrs;
-                            attrs.push(("chosen".into(), format!("m{m}")));
-                            attrs.push(("probe".into(), "false".into()));
-                            a.record(epoch_ts, None, Some(gid), "router_placement", attrs);
-                        }
                         // Headroom was checked against free(); the
                         // reservation itself cannot race (coordinator
                         // only), so a failure here is a logic error.
-                        let granule = self
-                            .pools[m]
+                        let granule = self.pools[m]
                             .try_reserve(predicted_bytes)
                             .expect("routing checked capacity headroom");
+                        (m, granule, false)
+                    }),
+                };
+                if let Some(a) = alog.as_mut() {
+                    let mut attrs = cand_attrs;
+                    match choice {
+                        Some((m, _, probe)) => {
+                            attrs.push(("chosen".into(), format!("m{m}")));
+                            attrs.push(("probe".into(), probe.to_string()));
+                        }
+                        None => {
+                            attrs.push(("chosen".into(), "cpu".into()));
+                            attrs.push(("reason".into(), "no_eligible_member".into()));
+                        }
+                    }
+                    a.record(epoch_ts, None, Some(gid), "router_placement", attrs);
+                }
+                match choice {
+                    Some((m, granule, probe)) => {
                         queue_clock[m] += est[m];
                         fleet_tally.routed_groups += 1;
                         placements.push(Placement {
                             gid,
                             member: m,
+                            est,
                             granule: Some(granule),
                             slab_slot: None,
-                            probe: false,
-                            failover: false,
+                            probe,
                         });
                     }
-                    None => {
-                        if let Some(a) = alog.as_mut() {
-                            let mut attrs = cand_attrs;
-                            attrs.push(("chosen".into(), "cpu".into()));
-                            attrs.push(("reason".into(), "no_eligible_member".into()));
-                            a.record(epoch_ts, None, Some(gid), "router_placement", attrs);
-                        }
-                        cpu_gids.push(gid);
-                    }
+                    None => cpu_gids.push(gid),
                 }
             }
 
@@ -776,112 +717,66 @@ impl DeviceFleet {
                     }
                 }
             }
-            let mut evicted: Vec<usize> = Vec::new();
-            for (i, p) in placements.iter().enumerate() {
-                if lost[p.member] {
-                    evicted.push(i);
-                }
-            }
-            for i in evicted {
-                let from = placements[i].member;
-                let gid = placements[i].gid;
+            for p in placements.iter_mut().filter(|p| lost[p.member]) {
+                let from = p.member;
                 // Release the dark member's reservation (its pool
                 // survives the device for accounting purposes).
-                if let Some(granule) = placements[i].granule.take() {
+                if let Some(granule) = p.granule.take() {
                     self.pools[from].release_reservation(granule);
                 }
-                let group = &groups[gid];
-                let backend = self
-                    .engine
-                    .registry
-                    .get(requests[group.indices[0]].backend)
-                    .expect("grouped requests resolve to registered backends");
                 // Failover target: best healthy member with a free
                 // standby slot — no pool traffic on this path.
-                let mut best: Option<(usize, f64)> = None;
-                for m in 0..nmembers {
-                    if lost[m]
-                        || drained[m]
-                        || breakers[m].state() != gpu_sim::BreakerState::Closed
-                    {
-                        continue;
-                    }
-                    let est = backend.estimate_cost(&model_devs[m], &specs[m], group.plan.params())
-                        * group.indices.len() as f64;
-                    let score = (queue_clock[m] + est) * (2.0 - health[m]);
-                    let better = match best {
-                        None => true,
-                        Some((_, s)) => score < s,
-                    };
-                    if better {
-                        best = Some((m, score));
-                    }
+                let best = argmin(
+                    nmembers,
+                    |m| healthy(m, &lost, &drained, &breakers),
+                    |m| (queue_clock[m] + p.est[m]) * (2.0 - health[m]),
+                );
+                let target = best.and_then(|m| self.slabs[m].acquire().map(|slot| (m, slot)));
+                fleet_tally.failovers += 1;
+                let (to, via) = match target {
+                    Some((m, _)) => (format!("m{m}"), "standby_slab"),
+                    // No healthy member (or standby slots dry): the
+                    // group still completes, on the CPU tier.
+                    None => ("cpu".to_string(), "no_healthy_member_or_slots"),
+                };
+                control.charge_host_op(
+                    &format!("fleet:failover:m{from}:{to}"),
+                    0.0,
+                    DEFAULT_STREAM,
+                );
+                if let Some(a) = alog.as_mut() {
+                    a.record(
+                        epoch_ts,
+                        None,
+                        Some(p.gid),
+                        "failover",
+                        vec![
+                            ("from".into(), format!("m{from}")),
+                            ("to".into(), to),
+                            ("via".into(), via.into()),
+                        ],
+                    );
                 }
-                let target = best.and_then(|(m, _)| self.slabs[m].acquire().map(|slot| (m, slot)));
                 match target {
                     Some((m, slot)) => {
-                        fleet_tally.failovers += 1;
                         member_failovers_in[m] += 1;
-                        control.charge_host_op(
-                            &format!("fleet:failover:m{from}:m{m}"),
-                            0.0,
-                            DEFAULT_STREAM,
-                        );
-                        if let Some(a) = alog.as_mut() {
-                            a.record(
-                                epoch_ts,
-                                None,
-                                Some(gid),
-                                "failover",
-                                vec![
-                                    ("from".into(), format!("m{from}")),
-                                    ("to".into(), format!("m{m}")),
-                                    ("via".into(), "standby_slab".into()),
-                                ],
-                            );
-                        }
-                        breakers[m].admit(gid);
+                        breakers[m].admit(p.gid);
                         audit_transitions(
                             &mut alog,
                             epoch_ts,
-                            Some(gid),
+                            Some(p.gid),
                             m,
                             &breakers[m],
                             &mut seen_tr[m],
                         );
-                        let est =
-                            backend.estimate_cost(&model_devs[m], &specs[m], group.plan.params())
-                                * group.indices.len() as f64;
-                        queue_clock[m] += est;
-                        placements[i].member = m;
-                        placements[i].slab_slot = Some(slot);
-                        placements[i].probe = false;
-                        placements[i].failover = true;
+                        queue_clock[m] += p.est[m];
+                        p.member = m;
+                        p.slab_slot = Some(slot);
+                        p.probe = false;
                     }
                     None => {
-                        // No healthy member (or standby slots dry): the
-                        // group still completes, on the CPU tier.
-                        fleet_tally.failovers += 1;
-                        control.charge_host_op(
-                            &format!("fleet:failover:m{from}:cpu"),
-                            0.0,
-                            DEFAULT_STREAM,
-                        );
-                        if let Some(a) = alog.as_mut() {
-                            a.record(
-                                epoch_ts,
-                                None,
-                                Some(gid),
-                                "failover",
-                                vec![
-                                    ("from".into(), format!("m{from}")),
-                                    ("to".into(), "cpu".into()),
-                                    ("via".into(), "no_healthy_member_or_slots".into()),
-                                ],
-                            );
-                        }
-                        placements[i].member = usize::MAX;
-                        cpu_gids.push(placements[i].gid);
+                        p.member = usize::MAX;
+                        cpu_gids.push(p.gid);
                     }
                 }
             }
@@ -889,61 +784,26 @@ impl DeviceFleet {
             cpu_gids.sort_unstable();
 
             // ---- Execute the wave (deterministic per group). ----------
-            let live: Vec<(usize, usize)> =
-                placements.iter().map(|p| (p.gid, p.member)).collect();
-            let workers = cfg.workers.max(1).min(live.len().max(1));
-            let mut shards: Vec<Vec<(usize, usize)>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, lm) in live.iter().enumerate() {
-                shards[i % workers].push(*lm);
-            }
-            let groups_ref = &groups;
-            let specs_ref = &specs;
-            let member_faults_ref = &member_faults;
-            let mut runs: Vec<GroupRun> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            shard
-                                .iter()
-                                .map(|&(gid, m)| {
-                                    run_group_on_device(
-                                        &specs_ref[m],
-                                        member_faults_ref[m].as_ref(),
-                                        member_salt(m),
-                                        &cfg,
-                                        &groups_ref[gid],
-                                        requests,
-                                        false,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&shards)
-                    .flat_map(|(h, shard)| match h.join() {
-                        Ok(rs) => rs,
-                        Err(payload) => shard
-                            .iter()
-                            .map(|&(gid, _)| {
-                                recover_group_loss(&groups_ref[gid], requests, &cfg, &*payload)
-                            })
-                            .collect(),
-                    })
-                    .collect()
-            });
-            runs.sort_by_key(|r| r.gid);
-            placements.sort_by_key(|p| p.gid);
+            let placed: Vec<(&Group, Target)> = placements
+                .iter()
+                .map(|p| {
+                    let target = Target {
+                        spec: &specs[p.member],
+                        faults: member_faults[p.member].as_ref(),
+                        salt: member_salt(p.member),
+                    };
+                    (&groups[p.gid], target)
+                })
+                .collect();
+            let runs = run_fresh(&placed, requests, &cfg, false);
 
             // ---- Observe, in gid order, on the coordinator. -----------
             for (run, p) in runs.into_iter().zip(&placements) {
                 debug_assert_eq!(run.gid, p.gid);
                 let m = p.member;
-                breakers[m].observe(p.gid, run.faulted);
-                let t = &run.tally;
+                let faulted = run.run.tally.injected > 0;
+                breakers[m].observe(p.gid, faulted);
+                let t = &run.run.tally;
                 let severity = ((t.injected + t.retries + t.cpu_fallbacks + t.failed) as f64
                     / 8.0)
                     .min(1.0);
@@ -951,12 +811,15 @@ impl DeviceFleet {
                 member_groups[m] += 1;
                 member_clock[m] += run.duration;
                 let completion = member_clock[m];
-                completion_of[p.gid] = completion;
+                clock.completion[p.gid] = completion;
+                clock.order.push(p.gid);
                 // Worker-buffered decisions fold here, in gid order, so
                 // event ids are worker-count invariant; the observe's
                 // breaker transitions follow them.
                 if let Some(a) = alog.as_mut() {
-                    a.fold_group(completion, p.gid, &run.tel.audit);
+                    for t in &run.run.tels {
+                        a.fold_group(completion, p.gid, &t.audit);
+                    }
                 }
                 audit_transitions(
                     &mut alog,
@@ -966,17 +829,8 @@ impl DeviceFleet {
                     &breakers[m],
                     &mut seen_tr[m],
                 );
-                for (idx, outcome) in &run.results {
-                    if let Some(resp) = outcome.response() {
-                        latencies.push(completion);
-                        class_samples.push((resp.path, resp.qos, completion));
-                    }
-                    outcomes[*idx] = Some(outcome.clone());
-                }
-                faults.absorb(&run.tally);
+                served.absorb(run.run);
                 final_member[p.gid] = Some(m);
-                tels.push(run.tel);
-                op_groups.push(run.ops);
 
                 // Return routing resources.
                 if let Some(granule) = p.granule {
@@ -1026,7 +880,7 @@ impl DeviceFleet {
                             "drain_probe",
                             vec![
                                 ("member".into(), m.to_string()),
-                                ("clean".into(), (!run.faulted).to_string()),
+                                ("clean".into(), (!faulted).to_string()),
                             ],
                         );
                     }
@@ -1060,11 +914,11 @@ impl DeviceFleet {
                 let est = cpu_tier_cost(group.plan.params(), group.indices.len());
                 control.charge_host_op(&format!("fleet:cpu_serve:g{gid}"), est, DEFAULT_STREAM);
                 cpu_clock += est;
-                let completion = cpu_clock;
-                completion_of[gid] = completion;
+                clock.completion[gid] = cpu_clock;
+                clock.order.push(gid);
                 if let Some(a) = alog.as_mut() {
                     a.record(
-                        completion,
+                        cpu_clock,
                         None,
                         Some(gid),
                         "cpu_tier",
@@ -1074,20 +928,12 @@ impl DeviceFleet {
                         ],
                     );
                 }
+                // A device loss never fails a request: the CPU tier
+                // serves whatever no member could take.
                 for &idx in &group.indices {
-                    let req = &requests[idx];
-                    faults.cpu_fallbacks += 1;
-                    let recovered =
-                        SfftCpuBackend::reference(group.plan.params(), &req.time, req.seed);
-                    latencies.push(completion);
-                    class_samples.push((ServePath::Cpu, group.qos, completion));
-                    outcomes[idx] = Some(RequestOutcome::Done(ServeResponse {
-                        num_hits: recovered.len(),
-                        recovered,
-                        path: ServePath::Cpu,
-                        qos: group.qos,
-                        backend: BackendKind::SfftCpu,
-                    }));
+                    served.faults.cpu_fallbacks += 1;
+                    let response = serve_on_cpu(group, &requests[idx]);
+                    served.outcomes[idx] = Some(RequestOutcome::Done(response));
                 }
             }
 
@@ -1107,54 +953,6 @@ impl DeviceFleet {
             }
             breaker_log.extend_from_slice(b.transitions());
             overload.breaker_trips += b.trips();
-        }
-
-        // ---- Merge the timeline (telemetry only — the makespan below
-        // comes from the per-member clocks; one merged schedule would
-        // fair-share a single device's SMs across every member). -------
-        let mut all_ops: Vec<Vec<Op>> = Vec::with_capacity(1 + op_groups.len());
-        all_ops.push(control.ops());
-        all_ops.extend(op_groups);
-        let merged = merge_op_groups(&all_ops);
-        let max_ck = specs
-            .iter()
-            .map(|s| s.max_concurrent_kernels)
-            .max()
-            .unwrap_or(1);
-        let sched = schedule(&merged, max_ck);
-        let concurrency = concurrency_profile(&merged, &sched);
-
-        let makespan = member_clock
-            .iter()
-            .copied()
-            .fold(cpu_clock, f64::max);
-
-        // ---- Collect. -------------------------------------------------
-        for (idx, err) in prefailed {
-            faults.failed += 1;
-            outcomes[idx] = Some(RequestOutcome::Failed {
-                error: err,
-                after_attempts: 0,
-            });
-        }
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            // Invariant: every request is pre-failed, placed on a member,
-            // or served on the CPU tier.
-            .map(|o| o.expect("every request resolves to exactly one outcome"))
-            .collect();
-        let completed = outcomes.iter().filter(|o| o.response().is_some()).count();
-        let throughput = if makespan > 0.0 {
-            completed as f64 / makespan
-        } else {
-            0.0
-        };
-
-        tels.sort_by_key(|t| t.gid);
-        let kernels = merge_rollups(&tels);
-        let mut pool = PoolTally::default();
-        for t in &tels {
-            pool.absorb(&t.pool);
         }
 
         let slab_now: Vec<StandbyStats> = self.slabs.iter().map(|s| s.stats()).collect();
@@ -1181,63 +979,45 @@ impl DeviceFleet {
         let group_info: Vec<GroupInfo> = groups
             .iter()
             .map(|g| GroupInfo {
-                gid: g.gid,
-                indices: g.indices.clone(),
-                key: PlanKey {
-                    qos: g.qos,
-                    ..requests[g.indices[0]].plan_key()
-                },
                 short_circuit: cpu_short_circuit[g.gid],
-                hedged: false,
                 device: final_member[g.gid],
+                ..g.info(requests)
             })
             .collect();
 
-        let latency = LatencyStats::from_latencies(latencies);
-        let path_latency = path_latency_summary(&class_samples);
-
-        // Seal the flight recorder: terminals at each group's lane
-        // completion (prefailed requests at 0.0), latency = completion
-        // (the fleet path has no arrival process).
-        let audit = alog.map(|a| {
-            let mut gid_of: Vec<Option<usize>> = vec![None; requests.len()];
-            for g in &groups {
-                for &i in &g.indices {
-                    gid_of[i] = Some(g.gid);
-                }
-            }
-            let ts_of: Vec<f64> = (0..requests.len())
-                .map(|r| gid_of[r].map(|g| completion_of[g]).unwrap_or(0.0))
-                .collect();
-            let lat_of: Vec<Option<f64>> = (0..requests.len())
-                .map(|r| outcomes[r].response().map(|_| ts_of[r]))
-                .collect();
-            finalize_audit(a, &outcomes, &gid_of, &ts_of, &lat_of, &SloConfig::default())
-        });
-
-        ServeReport {
-            outcomes,
-            makespan,
-            throughput,
-            concurrency,
-            cache: self.engine.cache.stats(),
-            groups: groups.len(),
-            faults,
-            overload,
-            latency,
-            breaker: breaker_log,
-            timeline: ServeTimeline { ops: merged, sched },
+        let stages = Stages {
+            control: control.ops(),
+            // The merged timeline is kept for span/trace export only; the
+            // makespan is the slowest lane (see the module docs).
+            max_concurrent: specs.iter().map(|s| s.max_concurrent_kernels).max(),
+            makespan: Some(member_clock.iter().copied().fold(cpu_clock, f64::max)),
+            clock: Some(clock),
             group_info,
-            path_latency,
-            arrivals: Vec::new(),
-            kernels,
-            pool,
+            overload,
+            breaker: breaker_log,
             fleet: fleet_tally,
             devices,
-            journal: None,
-            audit,
+            ..Stages::default()
+        };
+        self.engine.assemble(&groups, served, alog, stages)
+    }
+}
+
+/// The eligible member minimising `score`, ties to the lowest id.
+fn argmin(
+    members: usize,
+    eligible: impl Fn(usize) -> bool,
+    score: impl Fn(usize) -> f64,
+) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for m in (0..members).filter(|&m| eligible(m)) {
+        let s = score(m);
+        // Strict less-than: ties go to the lowest id.
+        if best.is_none_or(|(_, b)| s < b) {
+            best = Some((m, s));
         }
     }
+    best.map(|(m, _)| m)
 }
 
 #[cfg(test)]

@@ -36,18 +36,16 @@
 use std::collections::HashMap;
 
 use fft::cplx::Cplx;
-use gpu_sim::{concurrency_profile, merge_op_groups, schedule, CrashPlan};
+use gpu_sim::CrashPlan;
 
-use crate::audit::{finalize_audit, AuditLog, SloConfig};
+use crate::audit::AuditLog;
 use crate::backend::BackendKind;
 use crate::error::CusFftError;
-use crate::overload::{LatencyStats, OverloadTally};
-use crate::plan_cache::{PlanKey, ServeQos};
+use crate::plan_cache::ServeQos;
 use crate::serve::{
-    merge_rollups, recover_worker_loss, run_worker, FaultTally, Group, GroupInfo, GroupTelemetry,
-    PoolTally, RequestOutcome, ServeEngine, ServePath, ServeReport, ServeRequest, ServeResponse,
-    ServeTimeline, WorkerOutput,
+    RequestOutcome, ServeEngine, ServePath, ServeReport, ServeRequest, ServeResponse,
 };
+use crate::serve_core::{Epochs, Group, Served};
 
 // ---------------------------------------------------------------------
 // Binary format
@@ -726,32 +724,6 @@ pub struct JournalTally {
     pub requests_recovered: u64,
 }
 
-/// Accumulated execution state across epochs.
-struct EpochAccum {
-    op_groups: Vec<Vec<gpu_sim::Op>>,
-    outcomes: Vec<(usize, RequestOutcome)>,
-    tally: FaultTally,
-    groups_tel: Vec<GroupTelemetry>,
-    executed_groups: Vec<usize>,
-}
-
-impl EpochAccum {
-    fn new() -> Self {
-        EpochAccum {
-            op_groups: Vec::new(),
-            outcomes: Vec::new(),
-            tally: FaultTally::default(),
-            groups_tel: Vec::new(),
-            executed_groups: Vec::new(),
-        }
-    }
-
-    fn makespan(&self, max_concurrent: u32) -> f64 {
-        let merged = merge_op_groups(&self.op_groups);
-        schedule(&merged, max_concurrent).makespan
-    }
-}
-
 impl ServeEngine {
     /// Appends the epoch's terminal outcomes and a checkpoint marker,
     /// then flushes — the durability point of the recovery protocol.
@@ -797,103 +769,52 @@ impl ServeEngine {
         journal: &mut Journal,
         opts: &JournalOptions,
     ) -> JournalRun {
-        journal.begin(batch_fingerprint(requests), requests.len() as u32);
-        let stats0 = journal.stats();
+        self.serve_epochs(requests, Some((journal, opts)))
+    }
+
+    /// The epoch loop behind [`ServeEngine::serve_batch`] (no journal,
+    /// one epoch) and [`ServeEngine::serve_journaled`]. Validation
+    /// failures are terminal at admission, and journaled durable before
+    /// any device work.
+    pub(crate) fn serve_epochs(
+        &self,
+        requests: &[ServeRequest],
+        journal: Option<(&mut Journal, &JournalOptions)>,
+    ) -> JournalRun {
+        let mut epochs = journal.map(|(journal, opts)| {
+            journal.begin(batch_fingerprint(requests), requests.len() as u32);
+            Epochs {
+                stats0: journal.stats(),
+                journal,
+                opts,
+                first: 0,
+                durable: &never_durable,
+                recovered: JournalTally::default(),
+            }
+        });
         let (groups, prefailed) = self.group_requests(requests);
-
-        let mut alog = if self.config.audit {
-            let mut a = AuditLog::new();
-            a.record(
-                0.0,
-                None,
-                None,
-                "batch_admitted",
-                vec![
-                    ("requests".into(), requests.len().to_string()),
-                    ("groups".into(), groups.len().to_string()),
-                    ("journaled".into(), "true".into()),
-                ],
-            );
-            Some(a)
-        } else {
-            None
+        let extra: &[(&str, &str)] = match epochs {
+            Some(_) => &[("journaled", "true")],
+            None => &[],
         };
-
-        // Validation failures are terminal at admission: durable before
-        // any device work.
-        let mut tally = FaultTally::default();
-        let mut prefailed_outcomes: Vec<(usize, RequestOutcome)> = Vec::new();
+        let mut alog = self.open_audit(requests.len(), groups.len(), extra);
+        let mut served = Served::new(requests.len());
         for (idx, err) in prefailed {
-            tally.failed += 1;
-            if let Some(a) = alog.as_mut() {
-                a.record(
-                    0.0,
-                    Some(idx),
-                    None,
-                    "invalid",
-                    vec![("reason".into(), err.to_string())],
-                );
-            }
-            prefailed_outcomes.push((
-                idx,
-                RequestOutcome::Failed {
-                    error: err,
-                    after_attempts: 0,
-                },
-            ));
-        }
-        for (idx, outcome) in &prefailed_outcomes {
-            journal.append(&JournalRecord::Done {
-                idx: *idx as u32,
-                outcome: outcome.clone(),
-            });
-        }
-        journal.flush();
-
-        let group_refs: Vec<&Group> = groups.iter().collect();
-        let mut accum = EpochAccum::new();
-        accum.tally.absorb(&tally);
-        accum.outcomes.extend(prefailed_outcomes);
-        let run = self.run_epochs(
-            requests,
-            &groups,
-            &group_refs,
-            0,
-            journal,
-            opts,
-            &mut accum,
-            &|_| false,
-            &mut alog,
-        );
-
-        match run {
-            Err(epoch) => {
-                journal.crash();
-                JournalRun::Crashed(ServeCrash {
-                    epoch,
-                    durable_done: count_durable_done(journal),
-                    wasted_makespan: accum.makespan(self.spec.max_concurrent_kernels),
-                })
-            }
-            Ok(checkpoints) => {
-                let stats1 = journal.stats();
-                let journal_tally = JournalTally {
-                    records_appended: stats1.records_appended - stats0.records_appended,
-                    checkpoints,
-                    durable_bytes: stats1.durable_bytes,
-                    groups_executed: accum.executed_groups.len() as u64,
-                    groups_recovered: 0,
-                    requests_recovered: 0,
-                };
-                JournalRun::Completed(Box::new(self.assemble_report(
-                    requests,
-                    &groups,
-                    accum,
-                    journal_tally,
-                    alog,
-                )))
+            served.reject(idx, err, 0.0, &mut alog);
+            if let Some(e) = epochs.as_mut() {
+                e.journal.append(&JournalRecord::Done {
+                    idx: idx as u32,
+                    outcome: served.outcomes[idx]
+                        .clone()
+                        .expect("reject settles the outcome"),
+                });
             }
         }
+        if let Some(e) = epochs.as_mut() {
+            e.journal.flush();
+        }
+        let run: Vec<&Group> = groups.iter().collect();
+        self.run_sharded(requests, &groups, &run, epochs, served, alog)
     }
 
     /// Restarts a journaled run from its durable journal: restores every
@@ -962,21 +883,12 @@ impl ServeEngine {
 
         let stats0 = journal.stats();
         let (groups, prefailed) = self.group_requests(requests);
-
-        let mut alog = if self.config.audit {
-            let mut a = AuditLog::new();
-            a.record(
-                0.0,
-                None,
-                None,
-                "batch_admitted",
-                vec![
-                    ("requests".into(), requests.len().to_string()),
-                    ("groups".into(), groups.len().to_string()),
-                    ("journaled".into(), "true".into()),
-                    ("resumed".into(), "true".into()),
-                ],
-            );
+        let mut alog = self.open_audit(
+            requests.len(),
+            groups.len(),
+            &[("journaled", "true"), ("resumed", "true")],
+        );
+        if let Some(a) = alog.as_mut() {
             a.record(
                 0.0,
                 None,
@@ -987,55 +899,31 @@ impl ServeEngine {
                     ("durable_done".into(), durable_done.len().to_string()),
                 ],
             );
-            Some(a)
-        } else {
-            None
-        };
-
-        let mut accum = EpochAccum::new();
-        let mut journal_tally = JournalTally::default();
+        }
+        let mut served = Served::new(requests.len());
+        let mut recovered = JournalTally::default();
 
         // Validation failures re-derive deterministically; journal them
         // if the original run's flush was lost.
-        let mut fresh_prefail: Vec<(usize, RequestOutcome)> = Vec::new();
+        let mut fresh_prefail = false;
         for (idx, err) in prefailed {
             if let Some(outcome) = durable_done.get(&idx) {
-                journal_tally.requests_recovered += 1;
-                if let Some(a) = alog.as_mut() {
-                    a.record(
-                        0.0,
-                        Some(idx),
-                        None,
-                        "recovered",
-                        vec![("source".into(), "journal".into())],
-                    );
-                }
-                accum.outcomes.push((idx, outcome.clone()));
+                recovered.requests_recovered += 1;
+                record_recovered(&mut alog, idx, None);
+                served.outcomes[idx] = Some(outcome.clone());
             } else {
-                accum.tally.failed += 1;
-                if let Some(a) = alog.as_mut() {
-                    a.record(
-                        0.0,
-                        Some(idx),
-                        None,
-                        "invalid",
-                        vec![("reason".into(), err.to_string())],
-                    );
-                }
-                let outcome = RequestOutcome::Failed {
-                    error: err,
-                    after_attempts: 0,
-                };
+                served.reject(idx, err, 0.0, &mut alog);
                 journal.append(&JournalRecord::Done {
                     idx: idx as u32,
-                    outcome: outcome.clone(),
+                    outcome: served.outcomes[idx]
+                        .clone()
+                        .expect("reject settles the outcome"),
                 });
-                fresh_prefail.push((idx, outcome));
+                fresh_prefail = true;
             }
         }
-        if !fresh_prefail.is_empty() {
+        if fresh_prefail {
             journal.flush();
-            accum.outcomes.extend(fresh_prefail);
         }
 
         // A group re-executes iff any of its outcomes is missing. A
@@ -1045,314 +933,50 @@ impl ServeEngine {
         let mut pending: Vec<&Group> = Vec::new();
         for g in &groups {
             if g.indices.iter().all(|idx| durable_done.contains_key(idx)) {
-                journal_tally.groups_recovered += 1;
-                for idx in &g.indices {
-                    journal_tally.requests_recovered += 1;
-                    if let Some(a) = alog.as_mut() {
-                        a.record(
-                            0.0,
-                            Some(*idx),
-                            Some(g.gid),
-                            "recovered",
-                            vec![("source".into(), "journal".into())],
-                        );
-                    }
-                    accum
-                        .outcomes
-                        .push((*idx, durable_done[idx].clone()));
+                recovered.groups_recovered += 1;
+                for &idx in &g.indices {
+                    recovered.requests_recovered += 1;
+                    record_recovered(&mut alog, idx, Some(g.gid));
+                    served.outcomes[idx] = Some(durable_done[&idx].clone());
                 }
             } else {
                 pending.push(g);
             }
         }
-
-        let run = self.run_epochs(
-            requests,
-            &groups,
-            &pending,
-            next_epoch,
+        let durable = |idx: usize| durable_done.contains_key(&idx);
+        let epochs = Epochs {
             journal,
             opts,
-            &mut accum,
-            &|idx| durable_done.contains_key(&idx),
-            &mut alog,
-        );
-
-        match run {
-            Err(epoch) => {
-                journal.crash();
-                Ok(JournalRun::Crashed(ServeCrash {
-                    epoch,
-                    durable_done: count_durable_done(journal),
-                    wasted_makespan: accum.makespan(self.spec.max_concurrent_kernels),
-                }))
-            }
-            Ok(checkpoints) => {
-                let stats1 = journal.stats();
-                journal_tally.records_appended =
-                    stats1.records_appended - stats0.records_appended;
-                journal_tally.checkpoints = checkpoints;
-                journal_tally.durable_bytes = stats1.durable_bytes;
-                journal_tally.groups_executed = accum.executed_groups.len() as u64;
-                Ok(JournalRun::Completed(Box::new(self.assemble_report(
-                    requests,
-                    &groups,
-                    accum,
-                    journal_tally,
-                    alog,
-                ))))
-            }
-        }
-    }
-
-    /// The epoch loop shared by first runs and resumes: stage, execute,
-    /// checkpoint — or die at the armed crash epoch (`Err(epoch)`; the
-    /// caller truncates the journal). `all_groups` sizes the aux-stream
-    /// family exactly like `serve_batch` does, so stream geometry (and
-    /// with it every op sequence) is independent of which groups remain.
-    #[allow(clippy::too_many_arguments)]
-    fn run_epochs(
-        &self,
-        requests: &[ServeRequest],
-        all_groups: &[Group],
-        run_groups: &[&Group],
-        start_epoch: u64,
-        journal: &mut Journal,
-        opts: &JournalOptions,
-        accum: &mut EpochAccum,
-        already_durable: &dyn Fn(usize) -> bool,
-        alog: &mut Option<AuditLog>,
-    ) -> Result<u64, u64> {
-        let epoch_groups = opts.epoch_groups.max(1);
-        let workers = self.config.workers;
-        let config = self.config;
-        let aux = all_groups
-            .iter()
-            .map(|g| g.plan.num_streams())
-            .max()
-            .unwrap_or(0);
-        let mut checkpoints = 0u64;
-
-        for (chunk_i, epoch_chunk) in run_groups.chunks(epoch_groups).enumerate() {
-            let epoch = start_epoch + chunk_i as u64;
-            for g in epoch_chunk {
-                journal.append(&JournalRecord::GroupStaged {
-                    gid: g.gid as u32,
-                    epoch: epoch as u32,
-                    indices: g.indices.iter().map(|&i| i as u32).collect(),
-                });
-            }
-
-            let mut shards: Vec<Vec<&Group>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, g) in epoch_chunk.iter().enumerate() {
-                shards[i % workers].push(*g);
-            }
-            let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| {
-                        let spec = self.spec.clone();
-                        scope.spawn(move || run_worker(spec, shard, requests, aux, &config))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&shards)
-                    .map(|(h, shard)| match h.join() {
-                        Ok(out) => out,
-                        Err(payload) => {
-                            recover_worker_loss(shard, requests, &config, &*payload)
-                        }
-                    })
-                    .collect()
-            });
-
-            let mut epoch_outcomes: Vec<(usize, RequestOutcome)> = Vec::new();
-            for w in worker_outputs {
-                accum.op_groups.push(w.ops);
-                accum.tally.absorb(&w.tally);
-                accum.groups_tel.extend(w.groups_tel);
-                epoch_outcomes.extend(w.results);
-            }
-            accum
-                .executed_groups
-                .extend(epoch_chunk.iter().map(|g| g.gid));
-
-            if opts.crash.fires_at(epoch) {
-                // The host dies before the epoch's flush: its Done
-                // records were appended but never made durable. The
-                // outcomes still join the in-memory accumulator so the
-                // crash descriptor can price the wasted work.
-                accum.outcomes.extend(epoch_outcomes);
-                return Err(epoch);
-            }
-
-            self.checkpoint(journal, epoch, &epoch_outcomes, already_durable);
-            checkpoints += 1;
-            if let Some(a) = alog.as_mut() {
-                a.record(
-                    epoch as f64,
-                    None,
-                    None,
-                    "checkpoint",
-                    vec![
-                        ("epoch".into(), epoch.to_string()),
-                        ("durable_bytes".into(), journal.stats().durable_bytes.to_string()),
-                    ],
-                );
-            }
-            accum.outcomes.extend(epoch_outcomes);
-        }
-
-        // An empty tail (everything recovered, or an empty batch) still
-        // gets a final checkpoint so the journal visibly terminates.
-        if run_groups.is_empty() {
-            self.checkpoint(journal, start_epoch, &[], already_durable);
-            checkpoints += 1;
-            if let Some(a) = alog.as_mut() {
-                a.record(
-                    start_epoch as f64,
-                    None,
-                    None,
-                    "checkpoint",
-                    vec![
-                        ("epoch".into(), start_epoch.to_string()),
-                        ("durable_bytes".into(), journal.stats().durable_bytes.to_string()),
-                    ],
-                );
-            }
-        }
-        Ok(checkpoints)
-    }
-
-    /// Builds the final report from accumulated epoch state, mirroring
-    /// `serve_batch`'s assembly (merge in deterministic order, schedule
-    /// once, gid-ordered float sums).
-    fn assemble_report(
-        &self,
-        requests: &[ServeRequest],
-        groups: &[Group],
-        accum: EpochAccum,
-        journal_tally: JournalTally,
-        alog: Option<AuditLog>,
-    ) -> ServeReport {
-        let EpochAccum {
-            op_groups,
-            outcomes: raw_outcomes,
-            tally,
-            mut groups_tel,
-            executed_groups,
-        } = accum;
-
-        let merged = merge_op_groups(&op_groups);
-        let sched = schedule(&merged, self.spec.max_concurrent_kernels);
-        let concurrency = concurrency_profile(&merged, &sched);
-        let makespan = concurrency.makespan;
-
-        let mut outcomes: Vec<Option<RequestOutcome>> =
-            (0..requests.len()).map(|_| None).collect();
-        for (idx, outcome) in raw_outcomes {
-            outcomes[idx] = Some(outcome);
-        }
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            // Invariant: every request is pre-failed, journaled, or
-            // served by exactly one executed group.
-            .map(|o| o.expect("every request resolves to exactly one outcome"))
-            .collect();
-
-        groups_tel.sort_by_key(|t| t.gid);
-        let kernels = merge_rollups(&groups_tel);
-        let mut pool = PoolTally::default();
-        for t in &groups_tel {
-            pool.absorb(&t.pool);
-        }
-
-        let executed: std::collections::HashSet<usize> = executed_groups.into_iter().collect();
-        let group_info: Vec<GroupInfo> = groups
-            .iter()
-            .filter(|g| executed.contains(&g.gid))
-            .map(|g| GroupInfo {
-                gid: g.gid,
-                indices: g.indices.clone(),
-                key: PlanKey {
-                    qos: g.qos,
-                    ..requests[g.indices[0]].plan_key()
-                },
-                short_circuit: false,
-                hedged: false,
-                device: None,
-            })
-            .collect();
-
-        let throughput = if makespan > 0.0 {
-            requests.len() as f64 / makespan
-        } else {
-            0.0
+            first: next_epoch,
+            durable: &durable,
+            stats0,
+            recovered,
         };
+        Ok(self.run_sharded(requests, &groups, &pending, Some(epochs), served, alog))
+    }
+}
 
-        // Seal the flight recorder: placements and worker-buffered
-        // decisions fold in gid order (executed groups only — recovered
-        // groups already recorded `recovered` events), terminals at the
-        // request ordinal like the other clockless paths.
-        let audit = alog.map(|mut a| {
-            for g in groups.iter().filter(|g| executed.contains(&g.gid)) {
-                a.record(
-                    0.0,
-                    None,
-                    Some(g.gid),
-                    "group_placed",
-                    vec![
-                        ("members".into(), g.indices.len().to_string()),
-                        ("n".into(), requests[g.indices[0]].time.len().to_string()),
-                        ("k".into(), requests[g.indices[0]].k.to_string()),
-                        ("qos".into(), g.qos.label().into()),
-                        ("backend".into(), g.plan.backend().label().into()),
-                    ],
-                );
-                if let Some(t) = groups_tel.iter().find(|t| t.gid == g.gid) {
-                    a.fold_group(0.0, g.gid, &t.audit);
-                }
-            }
-            let mut gid_of: Vec<Option<usize>> = vec![None; requests.len()];
-            for g in groups {
-                for &i in &g.indices {
-                    gid_of[i] = Some(g.gid);
-                }
-            }
-            let ts_of: Vec<f64> = (0..requests.len()).map(|i| i as f64).collect();
-            let lat_of: Vec<Option<f64>> = vec![None; requests.len()];
-            finalize_audit(a, &outcomes, &gid_of, &ts_of, &lat_of, &SloConfig::default())
-        });
+fn never_durable(_: usize) -> bool {
+    false
+}
 
-        ServeReport {
-            outcomes,
-            makespan,
-            throughput,
-            concurrency,
-            cache: self.cache.stats(),
-            groups: groups.len(),
-            faults: tally,
-            overload: OverloadTally::default(),
-            latency: LatencyStats::default(),
-            breaker: Vec::new(),
-            timeline: ServeTimeline { ops: merged, sched },
-            group_info,
-            path_latency: Vec::new(),
-            arrivals: Vec::new(),
-            kernels,
-            pool,
-            fleet: crate::fleet::FleetTally::default(),
-            devices: Vec::new(),
-            journal: Some(journal_tally),
-            audit,
-        }
+/// Records that request `idx` (of group `gid`) was restored from the
+/// journal rather than re-executed.
+fn record_recovered(alog: &mut Option<AuditLog>, idx: usize, gid: Option<usize>) {
+    if let Some(a) = alog.as_mut() {
+        a.record(
+            0.0,
+            Some(idx),
+            gid,
+            "recovered",
+            vec![("source".into(), "journal".into())],
+        );
     }
 }
 
 /// Counts durable `Done` records; the journal was validated by the
 /// caller, so decode failures cannot occur here.
-fn count_durable_done(journal: &Journal) -> usize {
+pub(crate) fn count_durable_done(journal: &Journal) -> usize {
     journal
         .durable_records()
         .map(|rs| {

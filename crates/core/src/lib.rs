@@ -87,6 +87,7 @@ pub mod plan_cache;
 pub mod reconstruct;
 pub mod report;
 pub mod serve;
+mod serve_core;
 
 pub use arena::{ArenaStats, ExecArena};
 pub use audit::{

@@ -54,32 +54,24 @@
 //!
 //! Determinism is load-bearing: outputs *and* the simulated timeline are
 //! functions of `(requests, config)` alone — including the fault seed —
-//! independent of OS thread scheduling and host pool width. Each worker
-//! records its ops on a private device; the recordings are merged in
-//! worker order with [`gpu_sim::merge_op_groups`], which interleaves
-//! deterministically and remaps streams to disjoint global ids before the
-//! event-driven scheduler runs. Fault decisions are scoped per *global
-//! group index* (see [`scope_group`]/[`scope_retry`]), so per-request
-//! outcomes and fault tallies are also invariant under the worker count.
+//! independent of OS thread scheduling and host pool width. Execution
+//! itself lives in the serving core (`serve_core`), which every entry
+//! point shares.
+//!
+//! [`ExecutePlan`]: crate::backend::ExecutePlan
+//! [`ExecutePlan::run_batched_ffts`]: crate::backend::ExecutePlan::run_batched_ffts
+//! [`SfftCpuBackend`]: crate::backend::SfftCpuBackend
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use cusfft_telemetry::{fmt_f64, tag_batch, tag_fallback, tag_retry};
 use fft::cplx::Cplx;
-use gpu_sim::{
-    concurrency_profile, merge_op_groups, schedule, ConcurrencyProfile, DeviceSpec, FaultConfig,
-    GpuDevice,
-};
+use gpu_sim::{ConcurrencyProfile, DeviceSpec, FaultConfig, GpuDevice};
 use signal::Recovered;
 
-use crate::backend::{
-    home_device, worker_device, BackendKind, BackendRegistry, ExecutePlan, PreparedState,
-    SfftCpuBackend,
-};
+use crate::backend::{home_device, BackendKind, BackendRegistry};
 use crate::error::CusFftError;
 use crate::overload::{LatencyStats, OverloadTally};
-use crate::pipeline::{ExecStreams, Variant};
+use crate::pipeline::Variant;
 use crate::plan_cache::{CacheStats, PlanCache, PlanKey, ServeQos};
 
 /// One sparse-FFT request: a signal plus the geometry to serve it under.
@@ -150,7 +142,8 @@ pub struct ServeConfig {
     pub faults: Option<FaultConfig>,
     /// Individual retry attempts per evicted request before degrading.
     pub max_retries: u32,
-    /// Re-route exhausted requests to the [`SfftCpuBackend`] instead of
+    /// Re-route exhausted requests to the
+    /// [`SfftCpuBackend`](crate::backend::SfftCpuBackend) instead of
     /// failing them.
     pub cpu_fallback: bool,
     /// Record the policy flight recorder ([`crate::audit`]): every
@@ -184,7 +177,8 @@ pub enum ServePath {
     Gpu,
     /// The request's own backend, after one or more individual retries.
     GpuRetry,
-    /// Fallback re-route to the [`SfftCpuBackend`] after retries were
+    /// Fallback re-route to the
+    /// [`SfftCpuBackend`](crate::backend::SfftCpuBackend) after retries were
     /// exhausted (or a worker was lost).
     Cpu,
 }
@@ -318,7 +312,7 @@ impl FaultTally {
 
     /// Counts a detected silent corruption when `e` is the residual
     /// check's rejection.
-    fn note(&mut self, e: &CusFftError) {
+    pub(crate) fn note(&mut self, e: &CusFftError) {
         if matches!(e, CusFftError::SilentCorruption { .. }) {
             self.sdc_detected += 1;
         }
@@ -434,67 +428,6 @@ impl PoolTally {
     }
 }
 
-/// Kernel/pool telemetry one worker captured around a single
-/// `run_group` call. Deltas, not cumulative counters, so merging is
-/// order-insensitive for the integers and gid-ordered for the float
-/// sums.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GroupTelemetry {
-    pub(crate) gid: usize,
-    pub(crate) kernels: Vec<KernelRollup>,
-    pub(crate) pool: PoolTally,
-    /// Worker-side policy decisions (evictions, retries, fallbacks)
-    /// buffered for the audit log; empty unless [`ServeConfig::audit`].
-    pub(crate) audit: Vec<crate::audit::GroupAuditEvent>,
-}
-
-/// Rolls a recording slice up by normalized kernel name, sorted by name
-/// for a deterministic report layout. Accumulation follows record order,
-/// so float sums are reproducible.
-pub(crate) fn rollup_kernels(records: &[gpu_sim::LaunchRecord]) -> Vec<KernelRollup> {
-    let mut map: std::collections::BTreeMap<String, KernelRollup> = std::collections::BTreeMap::new();
-    for r in records {
-        let name = r.name.split(" (").next().unwrap_or(&r.name);
-        let e = map
-            .entry(name.to_string())
-            .or_insert_with(|| KernelRollup {
-                name: name.to_string(),
-                launches: 0,
-                time: 0.0,
-                transactions: 0.0,
-                dram_bytes: 0.0,
-            });
-        e.launches += 1;
-        e.time += r.cost.total;
-        e.transactions += r.stats.transactions;
-        e.dram_bytes += r.stats.dram_bytes;
-    }
-    map.into_values().collect()
-}
-
-/// Merges per-group rollups (callers pass them sorted by gid, making
-/// the float accumulation order deterministic) into one name-sorted
-/// report table.
-pub(crate) fn merge_rollups(groups: &[GroupTelemetry]) -> Vec<KernelRollup> {
-    let mut map: std::collections::BTreeMap<String, KernelRollup> = std::collections::BTreeMap::new();
-    for g in groups {
-        for k in &g.kernels {
-            let e = map.entry(k.name.clone()).or_insert_with(|| KernelRollup {
-                name: k.name.clone(),
-                launches: 0,
-                time: 0.0,
-                transactions: 0.0,
-                dram_bytes: 0.0,
-            });
-            e.launches += k.launches;
-            e.time += k.time;
-            e.transactions += k.transactions;
-            e.dram_bytes += k.dram_bytes;
-        }
-    }
-    map.into_values().collect()
-}
-
 /// Outcome of one [`ServeEngine::serve_batch`] call.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
@@ -502,7 +435,8 @@ pub struct ServeReport {
     pub outcomes: Vec<RequestOutcome>,
     /// Simulated makespan of the merged multi-stream timeline (seconds).
     pub makespan: f64,
-    /// Requests per simulated second (`0` for an empty batch).
+    /// Completed requests per simulated second of makespan (`0` when
+    /// the makespan is 0). Failed and rejected requests do not count.
     pub throughput: f64,
     /// Per-stream occupancy and concurrency over the merged timeline.
     pub concurrency: ConcurrencyProfile,
@@ -529,7 +463,8 @@ pub struct ServeReport {
     /// [`ServeEngine::serve_batch`]).
     pub path_latency: Vec<PathLatency>,
     /// Request arrival times in submission order (overload path only;
-    /// empty for [`ServeEngine::serve_batch`]).
+    /// empty for [`ServeEngine::serve_batch`]). A non-finite arrival,
+    /// rejected at admission, reads 0.0.
     pub arrivals: Vec<f64>,
     /// Per-kernel modeled execution totals, rolled up across all groups
     /// and sorted by kernel name.
@@ -557,38 +492,6 @@ impl ServeReport {
     pub fn responses(&self) -> impl Iterator<Item = &ServeResponse> {
         self.outcomes.iter().filter_map(|o| o.response())
     }
-}
-
-/// A geometry group: every request index served by one plan.
-pub(crate) struct Group {
-    /// Global group index — the fault-scope base, so fault decisions are
-    /// invariant under how groups are dealt to workers.
-    pub(crate) gid: usize,
-    pub(crate) plan: Arc<dyn ExecutePlan>,
-    pub(crate) indices: Vec<usize>,
-    /// Accuracy tier this group is served at (always [`ServeQos::Full`]
-    /// on the plain batch path; the overload path's brownout re-keys
-    /// pressured requests onto degraded plans).
-    pub(crate) qos: ServeQos,
-}
-
-/// Base backoff before the first individual retry; doubles per attempt.
-const RETRY_BACKOFF_BASE: f64 = 50e-6;
-
-/// Fault scope of group `g`'s batch attempt. Scopes only need to be
-/// distinct (the fault plan hashes them); bit 19 separates the batch
-/// attempt from the retry scopes below, bit 18 separates a hedged
-/// duplicate from its primary (a hedge is an independent run, not a
-/// replay of the primary's faults).
-pub(crate) fn scope_group(g: usize, hedged: bool) -> u64 {
-    ((g as u64) << 20) | (u64::from(hedged) << 18)
-}
-
-/// Fault scope of retry `attempt` for the request at position `j` of
-/// group `g` (fits j < 2^14, attempt < 16 — far beyond practical use).
-pub(crate) fn scope_retry(g: usize, j: usize, attempt: u32, hedged: bool) -> u64 {
-    ((g as u64) << 20) | (1 << 19) | (u64::from(hedged) << 18) | ((j as u64) << 4)
-        | u64::from(attempt)
 }
 
 /// The concurrent serving engine: backend registry + plan cache +
@@ -667,736 +570,13 @@ impl ServeEngine {
     /// order) plus the merged simulated timeline. Never panics on request
     /// content or injected faults — bad requests and exhausted failures
     /// come back as [`RequestOutcome::Failed`].
+    ///
+    /// This is the journaled epoch loop with no journal and a single
+    /// epoch (see [`crate::serve_core`]).
     pub fn serve_batch(&self, requests: &[ServeRequest]) -> ServeReport {
-        let (groups, prefailed) = self.group_requests(requests);
-        let num_groups = groups.len();
-        // The flight recorder's batch-level root. The plain batch path
-        // has no virtual clock, so group-scope events carry ts 0.0 and
-        // terminals use the request index as a logical ordinal.
-        let mut alog = if self.config.audit {
-            let mut a = crate::audit::AuditLog::new();
-            a.record(
-                0.0,
-                None,
-                None,
-                "batch_admitted",
-                vec![
-                    ("requests".into(), requests.len().to_string()),
-                    ("groups".into(), num_groups.to_string()),
-                ],
-            );
-            Some(a)
-        } else {
-            None
-        };
-        let workers = self.config.workers;
-        let config = self.config;
-
-        // Deal groups round-robin: worker w owns groups w, w+W, w+2W, …
-        let mut shards: Vec<Vec<&Group>> = (0..workers).map(|_| Vec::new()).collect();
-        for (g, group) in groups.iter().enumerate() {
-            shards[g % workers].push(group);
-        }
-
-        // Aux streams per worker: enough for any plan in the batch.
-        let aux = groups
-            .iter()
-            .map(|g| g.plan.num_streams())
-            .max()
-            .unwrap_or(0);
-
-        // Each worker executes its groups on a private device, so op
-        // recording needs no synchronisation and the merged timeline is
-        // independent of thread interleaving. The workers themselves are
-        // cheap std threads: their inner `par_*` compute shares the one
-        // global host pool (see `ServeConfig::workers`), which also keeps
-        // results deterministic — the pool's chunking is independent of
-        // how many serve workers are in flight.
-        let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    let spec = self.spec.clone();
-                    scope.spawn(move || run_worker(spec, shard, requests, aux, &config))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .zip(&shards)
-                .map(|(h, shard)| match h.join() {
-                    Ok(out) => out,
-                    // A worker died outside every catch_unwind boundary
-                    // (should not happen — per-request work is contained).
-                    // Its ops and fault counters are lost, but its
-                    // requests are not: the engine thread serves them on
-                    // the CPU path (or fails them typed).
-                    Err(payload) => recover_worker_loss(shard, requests, &config, &*payload),
-                })
-                .collect()
-        });
-
-        // Merge per-worker recordings in worker order (deterministic),
-        // then schedule the combined op set once.
-        let op_groups: Vec<_> = worker_outputs.iter().map(|w| w.ops.clone()).collect();
-        let merged = merge_op_groups(&op_groups);
-        let sched = schedule(&merged, self.spec.max_concurrent_kernels);
-        let concurrency = concurrency_profile(&merged, &sched);
-        let makespan = concurrency.makespan;
-
-        let mut faults = FaultTally::default();
-        for w in &worker_outputs {
-            faults.absorb(&w.tally);
-        }
-
-        let mut outcomes: Vec<Option<RequestOutcome>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut groups_tel: Vec<GroupTelemetry> = Vec::new();
-        for w in worker_outputs {
-            groups_tel.extend(w.groups_tel);
-            for (idx, outcome) in w.results {
-                outcomes[idx] = Some(outcome);
-            }
-        }
-        // Global group order, not worker order, so the report's float
-        // sums are invariant under the worker count.
-        groups_tel.sort_by_key(|t| t.gid);
-        let kernels = merge_rollups(&groups_tel);
-        let mut pool = PoolTally::default();
-        for t in &groups_tel {
-            pool.absorb(&t.pool);
-        }
-        for (idx, err) in prefailed {
-            if let Some(a) = alog.as_mut() {
-                a.record(
-                    0.0,
-                    Some(idx),
-                    None,
-                    "invalid",
-                    vec![("reason".into(), err.to_string())],
-                );
-            }
-            faults.failed += 1;
-            outcomes[idx] = Some(RequestOutcome::Failed {
-                error: err,
-                after_attempts: 0,
-            });
-        }
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            // Invariant: every request is either pre-failed by validation
-            // or assigned to exactly one group, and every group position
-            // resolves (run_group returns an outcome per index; a lost
-            // worker is recovered above).
-            .map(|o| o.expect("every request resolves to exactly one outcome"))
-            .collect();
-
-        let throughput = if makespan > 0.0 {
-            requests.len() as f64 / makespan
-        } else {
-            0.0
-        };
-
-        let group_info = groups
-            .iter()
-            .map(|g| GroupInfo {
-                gid: g.gid,
-                indices: g.indices.clone(),
-                key: PlanKey {
-                    qos: g.qos,
-                    ..requests[g.indices[0]].plan_key()
-                },
-                short_circuit: false,
-                hedged: false,
-                device: None,
-            })
-            .collect();
-
-        let audit = alog.map(|mut a| {
-            let mut gid_of: Vec<Option<usize>> = vec![None; requests.len()];
-            // gid order = audit fold order, so event ids are invariant
-            // under the worker count (groups_tel is gid-sorted above).
-            for g in &groups {
-                a.record(
-                    0.0,
-                    None,
-                    Some(g.gid),
-                    "group_placed",
-                    vec![
-                        ("members".into(), g.indices.len().to_string()),
-                        ("n".into(), requests[g.indices[0]].time.len().to_string()),
-                        ("k".into(), requests[g.indices[0]].k.to_string()),
-                        ("qos".into(), g.qos.label().into()),
-                        ("backend".into(), g.plan.backend().label().into()),
-                    ],
-                );
-                for &idx in &g.indices {
-                    gid_of[idx] = Some(g.gid);
-                }
-                if let Some(t) = groups_tel.iter().find(|t| t.gid == g.gid) {
-                    a.fold_group(0.0, g.gid, &t.audit);
-                }
-            }
-            let ts_of: Vec<f64> = (0..requests.len()).map(|i| i as f64).collect();
-            let lat_of: Vec<Option<f64>> = vec![None; requests.len()];
-            crate::audit::finalize_audit(
-                a,
-                &outcomes,
-                &gid_of,
-                &ts_of,
-                &lat_of,
-                &crate::audit::SloConfig::default(),
-            )
-        });
-
-        ServeReport {
-            outcomes,
-            makespan,
-            throughput,
-            concurrency,
-            cache: self.cache.stats(),
-            groups: num_groups,
-            faults,
-            overload: OverloadTally::default(),
-            latency: LatencyStats::default(),
-            breaker: Vec::new(),
-            timeline: ServeTimeline { ops: merged, sched },
-            group_info,
-            path_latency: Vec::new(),
-            arrivals: Vec::new(),
-            kernels,
-            pool,
-            fleet: crate::fleet::FleetTally::default(),
-            devices: Vec::new(),
-            journal: None,
-            audit,
-        }
-    }
-
-    /// Resolves each request's plan through the cache and groups request
-    /// indices by plan, in first-appearance order. Requests that fail
-    /// validation (the geometry the plan constructor would reject) are
-    /// returned separately as typed failures instead of panicking.
-    pub(crate) fn group_requests(
-        &self,
-        requests: &[ServeRequest],
-    ) -> (Vec<Group>, Vec<(usize, CusFftError)>) {
-        let mut groups: Vec<Group> = Vec::new();
-        let mut prefailed: Vec<(usize, CusFftError)> = Vec::new();
-        let mut key_to_group: std::collections::HashMap<PlanKey, usize> =
-            std::collections::HashMap::new();
-        for (idx, req) in requests.iter().enumerate() {
-            if let Err(e) = validate_request(req) {
-                prefailed.push((idx, e));
-                continue;
-            }
-            let key = req.plan_key();
-            // Look up per request — cache counters reflect request
-            // traffic, the signal a production cache sizes itself by.
-            let Some(plan) = self.cache.get_or_build(&self.home, &self.registry, key) else {
-                prefailed.push((
-                    idx,
-                    CusFftError::BadRequest {
-                        reason: format!("backend {} is not registered", req.backend.label()),
-                    },
-                ));
-                continue;
-            };
-            match key_to_group.get(&key) {
-                Some(&g) => groups[g].indices.push(idx),
-                None => {
-                    key_to_group.insert(key, groups.len());
-                    groups.push(Group {
-                        gid: groups.len(),
-                        plan,
-                        indices: vec![idx],
-                        qos: ServeQos::Full,
-                    });
-                }
-            }
-        }
-        (groups, prefailed)
-    }
-}
-
-/// Rejects geometries `SfftParams::tuned` would panic on, as typed
-/// errors before any plan is built or device touched.
-pub(crate) fn validate_request(req: &ServeRequest) -> Result<(), CusFftError> {
-    let n = req.time.len();
-    let bad = |reason: String| Err(CusFftError::BadRequest { reason });
-    if n == 0 {
-        return bad("signal must be non-empty".into());
-    }
-    if !n.is_power_of_two() || n < 512 {
-        return bad(format!("signal length {n} must be a power of two ≥ 512"));
-    }
-    if req.k == 0 || req.k > n / 8 {
-        return bad(format!("sparsity k={} out of 1..={}", req.k, n / 8));
-    }
-    Ok(())
-}
-
-pub(crate) struct WorkerOutput {
-    /// `(request index, outcome)` pairs for every request this worker ran.
-    pub(crate) results: Vec<(usize, RequestOutcome)>,
-    /// The worker's private op recording.
-    pub(crate) ops: Vec<gpu_sim::Op>,
-    /// The worker's fault/recovery counters.
-    pub(crate) tally: FaultTally,
-    /// Per-group kernel/pool telemetry, in this worker's group order.
-    pub(crate) groups_tel: Vec<GroupTelemetry>,
-}
-
-/// Executes `shard`'s groups serially on a private device: prepare every
-/// request in a group, one cross-request batched cuFFT per side, then
-/// finish each request — recovering from injected faults per request (see
-/// the module docs). The stream family is created once so consecutive
-/// groups on this worker genuinely serialise on it.
-pub(crate) fn run_worker(
-    spec: DeviceSpec,
-    shard: &[&Group],
-    requests: &[ServeRequest],
-    aux: usize,
-    cfg: &ServeConfig,
-) -> WorkerOutput {
-    let device = worker_device(&spec, cfg.faults.as_ref());
-    let streams = ExecStreams::on_device_private(&device, aux);
-    let mut tally = FaultTally::default();
-    let mut results = Vec::new();
-    let mut groups_tel = Vec::new();
-    let mut rec_base = 0usize;
-    for group in shard {
-        let alloc0 = device.pool_alloc_ops();
-        let release0 = device.pool_release_ops();
-        let arena0 = streams.arena.stats();
-        let mut group_audit = Vec::new();
-        results.extend(run_group(
-            &device,
-            group,
-            requests,
-            &streams,
-            cfg,
-            &mut tally,
-            false,
-            &mut group_audit,
-        ));
-        // Everything recorded/charged since the previous group boundary
-        // belongs to this group: run_group resets the arena on both
-        // ends, so pool releases cannot leak across groups.
-        let records = device.records();
-        let arena1 = streams.arena.stats();
-        groups_tel.push(GroupTelemetry {
-            gid: group.gid,
-            kernels: rollup_kernels(&records[rec_base..]),
-            pool: PoolTally {
-                alloc_ops: device.pool_alloc_ops() - alloc0,
-                release_ops: device.pool_release_ops() - release0,
-                reuse_hits: arena1.reuse_hits - arena0.reuse_hits,
-                fresh_misses: arena1.fresh_misses - arena0.fresh_misses,
-            },
-            audit: group_audit,
-        });
-        rec_base = records.len();
-    }
-    tally.injected = device.faults_injected();
-    WorkerOutput {
-        results,
-        ops: device.ops(),
-        tally,
-        groups_tel,
-    }
-}
-
-/// Runs `f` inside a panic boundary, converting a panic into a typed
-/// [`CusFftError::Panic`] so one request cannot take down its worker.
-fn run_caught<T>(
-    tally: &mut FaultTally,
-    where_: &str,
-    f: impl FnOnce() -> Result<T, CusFftError>,
-) -> Result<T, CusFftError> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(r) => r,
-        Err(payload) => {
-            tally.worker_panics += 1;
-            Err(CusFftError::Panic {
-                context: crate::error::panic_context(where_, payload.as_ref()),
-            })
-        }
-    }
-}
-
-/// One group under fault recovery: batch attempt, per-request eviction,
-/// individual retries with backoff, CPU fallback. Returns an outcome for
-/// every index in the group. `hedged` selects the hedge fault scopes so
-/// a hedged duplicate rolls independent fault decisions from its
-/// primary.
-#[allow(clippy::too_many_arguments)] // worker-call plumbing, not an API
-pub(crate) fn run_group(
-    device: &GpuDevice,
-    group: &Group,
-    requests: &[ServeRequest],
-    streams: &ExecStreams,
-    cfg: &ServeConfig,
-    tally: &mut FaultTally,
-    hedged: bool,
-    audit: &mut Vec<crate::audit::GroupAuditEvent>,
-) -> Vec<(usize, RequestOutcome)> {
-    use crate::audit::GroupAuditEvent;
-    // Buffers a worker-side decision for the audit fold. Recording is
-    // deferred (and gated) so the hot path stays allocation-free when
-    // auditing is off and event ids stay worker-count invariant.
-    let note = |audit: &mut Vec<GroupAuditEvent>,
-                request: usize,
-                kind: &'static str,
-                attrs: Vec<(String, String)>| {
-        if cfg.audit {
-            audit.push(GroupAuditEvent {
-                request: Some(request),
-                kind,
-                attrs,
-            });
-        }
-    };
-    let g = group.gid;
-    let plan = &group.plan;
-    let nreq = group.indices.len();
-    let mut outcomes: Vec<Option<RequestOutcome>> = (0..nreq).map(|_| None).collect();
-    let mut last_err: Vec<Option<CusFftError>> = (0..nreq).map(|_| None).collect();
-    // Group positions deferred to the individual retry path.
-    let mut individual: Vec<usize> = Vec::new();
-
-    // Pool state must be a pure function of this group alone — never of
-    // which worker ran it or what ran before on the same streams — so
-    // the arena starts empty at every group boundary.
-    streams.arena.reset();
-
-    // Batch attempt. Every fault decision inside it rolls in the group's
-    // own scope, so the sequence is invariant under worker placement.
-    device.set_fault_scope(scope_group(g, hedged));
-    device.set_op_tag(tag_batch(g, plan.backend().code(), hedged));
-
-    // Pool warmup plus one aggregated H2D staging transfer for the
-    // group's combined signal payload. Nothing request-specific has run
-    // yet, so a failure is group-wide: every request is evicted to the
-    // individual path (which rolls its own fault scopes).
-    let mut staged = run_caught(tally, "warm", || plan.warm(device, streams, nreq));
-    if staged.is_ok() {
-        let bytes: usize = group
-            .indices
-            .iter()
-            .map(|&idx| std::mem::size_of_val(requests[idx].time.as_slice()))
-            .sum();
-        staged = run_caught(tally, "stage", || {
-            plan.stage_group(device, bytes, streams.main)
-        });
-    }
-
-    let mut preps: Vec<Option<PreparedState>> = Vec::with_capacity(nreq);
-    match staged {
-        Err(e) => {
-            tally.note(&e);
-            for (j, slot) in last_err.iter_mut().enumerate().take(nreq) {
-                tally.evictions += 1;
-                note(
-                    audit,
-                    group.indices[j],
-                    "evicted",
-                    vec![
-                        ("stage".into(), "stage".into()),
-                        ("error".into(), e.class_label().into()),
-                    ],
-                );
-                *slot = Some(e.clone());
-                individual.push(j);
-                preps.push(None);
-            }
-        }
-        Ok(()) => {
-            for (j, &idx) in group.indices.iter().enumerate() {
-                let req = &requests[idx];
-                let r = run_caught(tally, "prepare", || {
-                    plan.prepare(device, &req.time, req.seed, streams)
-                });
-                match r {
-                    Ok(p) => preps.push(Some(p)),
-                    Err(e) => {
-                        tally.evictions += 1;
-                        tally.note(&e);
-                        note(
-                            audit,
-                            idx,
-                            "evicted",
-                            vec![
-                                ("stage".into(), "prepare".into()),
-                                ("error".into(), e.class_label().into()),
-                            ],
-                        );
-                        last_err[j] = Some(e);
-                        individual.push(j);
-                        preps.push(None);
-                    }
-                }
-            }
-        }
-    }
-
-    let survivors: Vec<usize> = (0..nreq).filter(|&j| preps[j].is_some()).collect();
-    let mut batched_ok = true;
-    if !survivors.is_empty() {
-        let r = run_caught(tally, "batched cuFFT", || {
-            let mut refs: Vec<&mut PreparedState> =
-                preps.iter_mut().filter_map(|p| p.as_mut()).collect();
-            plan.run_batched_ffts(device, &mut refs, streams.main)
-        });
-        if let Err(e) = r {
-            // A failed batched launch transformed no row (and a failed
-            // estimation batch poisons the half-transformed group), so
-            // every survivor re-prepares from scratch individually.
-            batched_ok = false;
-            tally.note(&e);
-            for &j in &survivors {
-                tally.evictions += 1;
-                note(
-                    audit,
-                    group.indices[j],
-                    "evicted",
-                    vec![
-                        ("stage".into(), "batched_fft".into()),
-                        ("error".into(), e.class_label().into()),
-                    ],
-                );
-                last_err[j] = Some(e.clone());
-                individual.push(j);
-                preps[j] = None;
-            }
-        }
-    }
-
-    if batched_ok && !survivors.is_empty() {
-        // One back-half pass over the whole surviving group, so the
-        // backend can aggregate its result transfers (D2H) group-wide
-        // instead of paying PCIe latency per request. A panic anywhere
-        // in the pass evicts every survivor (the aggregated transfers
-        // make per-request attribution of a panic ambiguous).
-        let prep_refs: Vec<&PreparedState> = survivors
-            .iter()
-            .map(|&j| {
-                preps[j]
-                    .as_ref()
-                    .expect("survivors hold their prepared state")
-            })
-            .collect();
-        let finished = run_caught(tally, "finish", || {
-            Ok(plan.finish_group(device, &prep_refs, streams))
-        });
-        match finished {
-            Ok(rs) => {
-                debug_assert_eq!(rs.len(), survivors.len());
-                for (&j, r) in survivors.iter().zip(rs) {
-                    match r {
-                        Ok((recovered, num_hits)) => {
-                            outcomes[j] = Some(RequestOutcome::Done(ServeResponse {
-                                recovered,
-                                num_hits,
-                                path: ServePath::Gpu,
-                                qos: group.qos,
-                                backend: plan.backend(),
-                            }));
-                        }
-                        Err(e) => {
-                            tally.evictions += 1;
-                            tally.note(&e);
-                            note(
-                                audit,
-                                group.indices[j],
-                                "evicted",
-                                vec![
-                                    ("stage".into(), "finish".into()),
-                                    ("error".into(), e.class_label().into()),
-                                ],
-                            );
-                            last_err[j] = Some(e);
-                            individual.push(j);
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                for &j in &survivors {
-                    tally.evictions += 1;
-                    tally.note(&e);
-                    note(
-                        audit,
-                        group.indices[j],
-                        "evicted",
-                        vec![
-                            ("stage".into(), "finish".into()),
-                            ("error".into(), e.class_label().into()),
-                        ],
-                    );
-                    last_err[j] = Some(e.clone());
-                    individual.push(j);
-                }
-            }
-        }
-    }
-
-    // Individual path: bounded retries, then CPU fallback. Processed in
-    // group-position order regardless of which stage evicted them.
-    individual.sort_unstable();
-    for &j in &individual {
-        let req = &requests[group.indices[j]];
-        let mut success: Option<ServeResponse> = None;
-        for attempt in 1..=cfg.max_retries {
-            tally.retries += 1;
-            // Deterministic exponential backoff, visible on the timeline
-            // but contending for no device resource.
-            let backoff = RETRY_BACKOFF_BASE * (1u64 << (attempt - 1)) as f64;
-            note(
-                audit,
-                group.indices[j],
-                "retry_attempt",
-                vec![
-                    ("attempt".into(), attempt.to_string()),
-                    ("backoff".into(), fmt_f64(backoff)),
-                ],
-            );
-            device.set_op_tag(tag_retry(g, j, attempt, plan.backend().code(), hedged));
-            device.charge_host_op("retry_backoff", backoff, streams.main);
-            device.set_fault_scope(scope_retry(g, j, attempt, hedged));
-            let r = run_caught(tally, "retry", || {
-                let mut prep = plan.prepare(device, &req.time, req.seed, streams)?;
-                plan.run_batched_ffts(device, &mut [&mut prep], streams.main)?;
-                let (recovered, num_hits) = plan.finish(device, &prep, streams)?;
-                Ok(ServeResponse {
-                    recovered,
-                    num_hits,
-                    path: ServePath::GpuRetry,
-                    qos: group.qos,
-                    backend: plan.backend(),
-                })
-            });
-            match r {
-                Ok(resp) => {
-                    success = Some(resp);
-                    break;
-                }
-                Err(e) => {
-                    tally.note(&e);
-                    note(
-                        audit,
-                        group.indices[j],
-                        "retry_failed",
-                        vec![
-                            ("attempt".into(), attempt.to_string()),
-                            ("error".into(), e.class_label().into()),
-                        ],
-                    );
-                    last_err[j] = Some(e);
-                }
-            }
-        }
-        outcomes[j] = Some(match success {
-            Some(resp) => RequestOutcome::Done(resp),
-            None if cfg.cpu_fallback => {
-                tally.cpu_fallbacks += 1;
-                note(
-                    audit,
-                    group.indices[j],
-                    "cpu_fallback",
-                    vec![("backend".into(), "sfft_cpu".into())],
-                );
-                // Zero-duration marker: the re-route is visible on the
-                // timeline without inventing a device cost for CPU work.
-                device.set_op_tag(tag_fallback(g, j, BackendKind::SfftCpu.code(), hedged));
-                device.charge_host_op("cpu_fallback", 0.0, streams.main);
-                // Straight to the backend's pure computation — never the
-                // plan cache, which worker threads must not touch (its
-                // counters are part of the determinism contract).
-                let recovered = SfftCpuBackend::reference(plan.params(), &req.time, req.seed);
-                RequestOutcome::Done(ServeResponse {
-                    num_hits: recovered.len(),
-                    recovered,
-                    path: ServePath::Cpu,
-                    qos: group.qos,
-                    backend: BackendKind::SfftCpu,
-                })
-            }
-            None => {
-                tally.failed += 1;
-                RequestOutcome::Failed {
-                    error: last_err[j].take().unwrap_or(CusFftError::Panic {
-                        context: "request failed without a recorded error".into(),
-                    }),
-                    after_attempts: cfg.max_retries,
-                }
-            }
-        });
-    }
-
-    // Return every pooled buffer (dropping the prepared states) before
-    // the end-of-group reset, so the `MemPool` releases land in this
-    // group's telemetry window — not the next group's, which may run on
-    // a different worker under a different sharding.
-    drop(preps);
-    streams.arena.reset();
-
-    group
-        .indices
-        .iter()
-        .zip(outcomes)
-        // Invariant: every position either finished on the batch path or
-        // was pushed to `individual`, which always writes an outcome.
-        .map(|(&idx, o)| (idx, o.expect("every group position resolves")))
-        .collect()
-}
-
-/// Engine-thread failover for a worker that died outside every
-/// per-request panic boundary: serve its requests on the CPU path (or
-/// fail them typed). Ops and device-side fault counters are lost with
-/// the worker.
-pub(crate) fn recover_worker_loss(
-    shard: &[&Group],
-    requests: &[ServeRequest],
-    cfg: &ServeConfig,
-    payload: &(dyn std::any::Any + Send),
-) -> WorkerOutput {
-    let context = crate::error::panic_context("serve worker", payload);
-    let mut tally = FaultTally {
-        worker_panics: 1,
-        ..FaultTally::default()
-    };
-    let mut results = Vec::new();
-    for group in shard {
-        for &idx in &group.indices {
-            let req = &requests[idx];
-            let outcome = if cfg.cpu_fallback {
-                tally.cpu_fallbacks += 1;
-                let recovered =
-                    SfftCpuBackend::reference(group.plan.params(), &req.time, req.seed);
-                RequestOutcome::Done(ServeResponse {
-                    num_hits: recovered.len(),
-                    recovered,
-                    path: ServePath::Cpu,
-                    qos: group.qos,
-                    backend: BackendKind::SfftCpu,
-                })
-            } else {
-                tally.failed += 1;
-                RequestOutcome::Failed {
-                    error: CusFftError::Panic {
-                        context: context.clone(),
-                    },
-                    after_attempts: 0,
-                }
-            };
-            results.push((idx, outcome));
-        }
-    }
-    WorkerOutput {
-        results,
-        ops: Vec::new(),
-        tally,
-        groups_tel: Vec::new(),
+        self.serve_epochs(requests, None)
+            .into_report()
+            .expect("a run without a journal has no crash plan to fire")
     }
 }
 

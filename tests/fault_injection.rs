@@ -301,7 +301,10 @@ fn try_execute_surfaces_faults_and_recovers() {
 ///   the journaled path, for a known fault schedule.
 #[test]
 fn failed_attempt_counts_are_pinned_per_path() {
-    use cusfft::{CusFftError, Journal, JournalOptions};
+    use cusfft::{
+        CusFftError, DeviceFleet, FleetConfig, Journal, JournalOptions, OverloadConfig,
+        RequestOutcome, TimedRequest,
+    };
 
     let mut reqs = batch(6);
     // One malformed request (k = 0) that fails validation, never runs.
@@ -370,4 +373,56 @@ fn failed_attempt_counts_are_pinned_per_path() {
         .into_report()
         .expect("unarmed journaled run completes");
     assert_eq!(journaled.outcomes, reference.outcomes);
+
+    // Every entry point counts each terminal failure exactly once —
+    // validation failures included — and reports throughput as completed
+    // requests per second of makespan.
+    let trace: Vec<TimedRequest> = reqs
+        .iter()
+        .cloned()
+        .map(|r| TimedRequest::at(r, 0.0))
+        .collect();
+    let policy = OverloadConfig {
+        queue_capacity: 1000,
+        brownout_depth: 1000,
+        hedge_factor: 1e12,
+        ..OverloadConfig::default()
+    };
+    let overload = |config: ServeConfig| {
+        ServeEngine::new(DeviceSpec::tesla_k20x(), config)
+            .expect("serve config is valid")
+            .serve_overload(&trace, &policy)
+    };
+    let fleet = DeviceFleet::new(FleetConfig::heterogeneous(), config(2))
+        .expect("fleet config is valid")
+        .serve(&reqs);
+    let reports = [
+        ("serve_batch", reference),
+        ("serve_journaled", journaled),
+        ("serve_overload", overload(config(2))),
+        (
+            "serve_overload fault-free",
+            overload(ServeConfig::default()),
+        ),
+        ("DeviceFleet::serve", fleet),
+    ];
+    for (path, report) in &reports {
+        let failed = report
+            .outcomes
+            .iter()
+            .filter(|o| matches!(o, RequestOutcome::Failed { .. }))
+            .count();
+        assert_eq!(report.faults.failed, failed as u64, "{path}: faults.failed");
+        let completed = report.responses().count() as f64;
+        let throughput = if report.makespan > 0.0 {
+            completed / report.makespan
+        } else {
+            0.0
+        };
+        assert_eq!(
+            report.throughput.to_bits(),
+            throughput.to_bits(),
+            "{path}: throughput is completed requests per simulated second"
+        );
+    }
 }

@@ -228,6 +228,104 @@ fn breaker_opens_and_beats_retry_every_request() {
     );
 }
 
+/// Admission replays a trace in arrival order whatever order the trace
+/// lists it in: a shuffled trace with distinct arrival times gives every
+/// request the outcome it gets in the sorted trace, and never panics.
+#[test]
+fn shuffled_trace_is_admitted_in_arrival_order() {
+    let gap = cusfft::nominal_service(&DeviceSpec::tesla_k20x(), 1 << 10, 4) / 3.0;
+    let sorted: Vec<TimedRequest> = batch(9)
+        .into_iter()
+        .enumerate()
+        .map(|(j, r)| TimedRequest::at(r, j as f64 * gap))
+        .collect();
+    let perm = [4, 0, 7, 2, 8, 5, 1, 6, 3];
+    let shuffled: Vec<TimedRequest> = perm.iter().map(|&j| sorted[j].clone()).collect();
+    let policy = OverloadConfig {
+        queue_capacity: 4,
+        brownout_depth: 2,
+        ..OverloadConfig::default()
+    };
+    let faults = Some(FaultConfig::uniform(fault_seed(), 0.05));
+    let a = engine(2, faults).serve_overload(&sorted, &policy);
+    let b = engine(2, faults).serve_overload(&shuffled, &policy);
+    assert!(
+        a.overload.shed > 0,
+        "the queue bound must bite: {:?}",
+        a.overload
+    );
+    for (pos, &j) in perm.iter().enumerate() {
+        assert_eq!(
+            b.outcomes[pos], a.outcomes[j],
+            "request {j} at trace position {pos}"
+        );
+        assert_eq!(b.arrivals[pos].to_bits(), sorted[j].arrival.to_bits());
+    }
+    assert_eq!(b.overload, a.overload);
+}
+
+/// A NaN or infinite arrival time is invalid input, not a panic: the
+/// request fails typed at admission, is counted once in
+/// `faults.failed`, and reads as arriving at 0.0, so the audit seals
+/// with finite timestamps. A zero-capacity queue, which sheds every
+/// valid request, takes the same route.
+#[test]
+fn non_finite_arrivals_fail_typed_at_admission() {
+    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let trace: Vec<TimedRequest> = batch(6)
+        .into_iter()
+        .enumerate()
+        .map(|(j, r)| {
+            let arrival = if j % 2 == 1 {
+                bad[j / 2]
+            } else {
+                j as f64 * 1e-4
+            };
+            TimedRequest::at(r, arrival)
+        })
+        .collect();
+    for queue_capacity in [0, 4] {
+        let policy = OverloadConfig {
+            queue_capacity,
+            ..OverloadConfig::default()
+        };
+        let cfg = ServeConfig {
+            workers: 2,
+            audit: true,
+            ..ServeConfig::default()
+        };
+        let engine = ServeEngine::new(DeviceSpec::tesla_k20x(), cfg).expect("valid config");
+        let report = engine.serve_overload(&trace, &policy);
+        for (j, o) in report.outcomes.iter().enumerate() {
+            if j % 2 == 1 {
+                assert!(
+                    matches!(
+                        o,
+                        RequestOutcome::Failed {
+                            error: cusfft::CusFftError::BadRequest { .. },
+                            after_attempts: 0
+                        }
+                    ),
+                    "request {j} (arrival {}): {o:?}",
+                    trace[j].arrival
+                );
+                assert_eq!(report.arrivals[j], 0.0);
+            } else if queue_capacity == 0 {
+                assert!(
+                    matches!(o, RequestOutcome::Shed { .. }),
+                    "request {j}: {o:?}"
+                );
+            } else {
+                assert!(o.response().is_some(), "request {j}: {o:?}");
+            }
+        }
+        assert_eq!(report.faults.failed, 3);
+        let audit = report.audit.as_ref().expect("audit is on");
+        audit.validate().expect("every event roots at an admission");
+        assert!(audit.log.events.iter().all(|e| e.ts.is_finite()));
+    }
+}
+
 /// Contract 3a: a full queue sheds the newest arrivals with a typed
 /// outcome and zero device time.
 #[test]

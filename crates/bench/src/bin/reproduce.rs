@@ -824,7 +824,7 @@ fn hostperf(opts: &Opts, seed: u64) {
         (&[20, 22, 24], 3)
     };
     let k = opts.k.unwrap_or(100);
-    let host_cpus = num_cpus::get();
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
         "[hostperf] n = {:?} (log2), k = {k}, pool = {} threads on {host_cpus} logical CPUs",
         sizes,

@@ -2,15 +2,19 @@
 //!
 //! One runner per table and figure of the paper's evaluation (Section VI),
 //! plus ablations for the Section V design choices. The `reproduce`
-//! binary drives these and prints the same rows/series the paper reports;
-//! the criterion benches under `benches/` cover the micro-level kernels.
+//! binary drives these and prints the same rows/series the paper reports.
+//! The two criterion benches under `benches/` (`selection`,
+//! `fft_substrate`) take the CPU wall-clock measurements nothing else
+//! does; host-clock costs of the pipeline and serving are perfbench's.
 //!
 //! * [`experiments::fig2a`] / [`experiments::fig2b`] — per-step profiles;
 //! * [`experiments::fig5a`] / [`experiments::fig5b`] — runtime sweeps;
 //! * [`experiments::fig5f`] — L1 error vs sparsity;
 //! * [`experiments::filter_ablation`] / [`experiments::selection_ablation`]
 //!   / [`experiments::batched_fft_ablation`] — Section V ablations;
-//! * [`table`] — aligned-table + CSV output; [`host`] — Table II helpers.
+//! * [`table`] — aligned-table + CSV output; [`host`] — Table II helpers;
+//! * [`regress`] — the `check-regression` gate over the checked-in
+//!   `BENCH_*.json` baselines.
 
 pub mod audit;
 pub mod experiments;
@@ -30,7 +34,7 @@ pub use experiments::{
     SelectionAblation, ServePoint, ThroughputPoint,
 };
 pub use audit::{audit_artifacts, audit_exports, AuditArtifacts};
-pub use regress::{check_file, parse_json, Json};
+pub use regress::check_file;
 pub use table::{fmt_ratio, fmt_secs, Table};
 pub use telemetry::{telemetry_artifacts, TelemetryArtifacts};
 pub use viz::{render_chart, Series};

@@ -1,163 +1,12 @@
 //! Regression gate for the checked-in `BENCH_*.json` baselines: a
-//! minimal JSON reader (the vendored set has no serde_json) plus a
-//! recursive structural compare with per-metric tolerances. Shapes
-//! must match exactly; numeric leaves get a tolerance chosen by the
+//! recursive structural compare, over the values the
+//! `cusfft_telemetry` JSON reader returns, with per-metric tolerances.
+//! Shapes must match exactly; object keys are compared as a set, so key
+//! order never matters. Numeric leaves get a tolerance chosen by the
 //! metric's key name (counts are exact, modeled times and rates get a
 //! small relative band).
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value. Object keys keep insertion order irrelevant —
-/// comparison is by key set, via the sorted map.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-/// Parses a JSON document. Supports the subset the bench artifacts
-/// emit (no escapes beyond `\"`, `\\`, `\/`, `\n`, `\t`, `\u`).
-pub fn parse_json(s: &str) -> Result<Json, String> {
-    let bytes: Vec<char> = s.chars().collect();
-    let mut pos = 0usize;
-    let v = parse_value(&bytes, &mut pos)?;
-    skip_ws(&bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing input at char {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[char], pos: &mut usize) {
-    while *pos < b.len() && b[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{c}' at char {pos}"))
-    }
-}
-
-fn parse_value(b: &[char], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some('{') => {
-            *pos += 1;
-            let mut obj = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Ok(Json::Obj(obj));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key is not a string: {other:?}")),
-                };
-                expect(b, pos, ':')?;
-                let val = parse_value(b, pos)?;
-                obj.insert(key, val);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(obj));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at char {pos}")),
-                }
-            }
-        }
-        Some('[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Ok(Json::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at char {pos}")),
-                }
-            }
-        }
-        Some('"') => {
-            *pos += 1;
-            let mut out = String::new();
-            while let Some(&c) = b.get(*pos) {
-                *pos += 1;
-                match c {
-                    '"' => return Ok(Json::Str(out)),
-                    '\\' => {
-                        let esc = *b.get(*pos).ok_or("dangling escape")?;
-                        *pos += 1;
-                        match esc {
-                            '"' | '\\' | '/' => out.push(esc),
-                            'n' => out.push('\n'),
-                            't' => out.push('\t'),
-                            'r' => out.push('\r'),
-                            'u' => {
-                                let hex: String =
-                                    b.get(*pos..*pos + 4).ok_or("short \\u escape")?.iter().collect();
-                                *pos += 4;
-                                let cp = u32::from_str_radix(&hex, 16)
-                                    .map_err(|e| format!("bad \\u escape: {e}"))?;
-                                out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            }
-                            other => return Err(format!("unknown escape \\{other}")),
-                        }
-                    }
-                    _ => out.push(c),
-                }
-            }
-            Err("unterminated string".into())
-        }
-        Some('t') if b[*pos..].starts_with(&['t', 'r', 'u', 'e']) => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some('f') if b[*pos..].starts_with(&['f', 'a', 'l', 's', 'e']) => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some('n') if b[*pos..].starts_with(&['n', 'u', 'l', 'l']) => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], '0'..='9' | '-' | '+' | '.' | 'e' | 'E')
-            {
-                *pos += 1;
-            }
-            let text: String = b[start..*pos].iter().collect();
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number '{text}' at char {start}: {e}"))
-        }
-    }
-}
+use cusfft_telemetry::{parse_json, JsonValue};
 
 /// The tolerance applied to a numeric metric, chosen by key name.
 fn tolerance(key: &str) -> (f64, f64) {
@@ -187,26 +36,22 @@ pub type Diff = String;
 
 /// Recursively compares `got` against `want`, appending a line per
 /// mismatch. `path` names the current node (e.g. `points[3].makespan_ms`).
-pub fn compare(path: &str, want: &Json, got: &Json, diffs: &mut Vec<Diff>) {
+pub fn compare(path: &str, want: &JsonValue, got: &JsonValue, diffs: &mut Vec<Diff>) {
     match (want, got) {
-        (Json::Obj(a), Json::Obj(b)) => {
-            for key in a.keys() {
-                if !b.contains_key(key) {
-                    diffs.push(format!("{path}.{key}: missing from candidate"));
+        (JsonValue::Object(a), JsonValue::Object(b)) => {
+            for (key, av) in a {
+                match got.get(key) {
+                    Some(bv) => compare(&format!("{path}.{key}"), av, bv, diffs),
+                    None => diffs.push(format!("{path}.{key}: missing from candidate")),
                 }
             }
-            for key in b.keys() {
-                if !a.contains_key(key) {
+            for (key, _) in b {
+                if want.get(key).is_none() {
                     diffs.push(format!("{path}.{key}: not in baseline"));
                 }
             }
-            for (key, av) in a {
-                if let Some(bv) = b.get(key) {
-                    compare(&format!("{path}.{key}"), av, bv, diffs);
-                }
-            }
         }
-        (Json::Arr(a), Json::Arr(b)) => {
+        (JsonValue::Array(a), JsonValue::Array(b)) => {
             if a.len() != b.len() {
                 diffs.push(format!(
                     "{path}: length {} in baseline vs {} in candidate",
@@ -219,7 +64,7 @@ pub fn compare(path: &str, want: &Json, got: &Json, diffs: &mut Vec<Diff>) {
                 compare(&format!("{path}[{i}]"), av, bv, diffs);
             }
         }
-        (Json::Num(a), Json::Num(b)) => {
+        (JsonValue::Number(a), JsonValue::Number(b)) => {
             let key = path.rsplit('.').next().unwrap_or(path);
             let key = key.split('[').next().unwrap_or(key);
             let (rel, abs) = tolerance(key);
@@ -250,18 +95,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_bench_shapes() {
-        let j = parse_json(
-            r#"{"seed": 1, "points": [{"makespan_ms": 1.25, "ok": true, "name": "a\"b"}], "note": null}"#,
-        )
-        .unwrap();
-        let Json::Obj(o) = &j else { panic!() };
-        assert!(matches!(o.get("seed"), Some(Json::Num(n)) if *n == 1.0));
-        let Some(Json::Arr(pts)) = o.get("points") else { panic!() };
-        assert_eq!(pts.len(), 1);
-    }
-
-    #[test]
     fn tolerant_on_times_exact_on_counts() {
         let base = r#"{"points": [{"makespan_ms": 100.0, "requests": 12}]}"#;
         let drift = r#"{"points": [{"makespan_ms": 103.0, "requests": 12}]}"#;
@@ -278,5 +111,26 @@ mod tests {
         let cand = r#"{"a": 1, "b": [1], "c": "new"}"#;
         let diffs = check_file(base, cand, "t").unwrap();
         assert_eq!(diffs.len(), 2, "{diffs:?}");
+    }
+
+    #[test]
+    fn key_order_is_irrelevant() {
+        let base =
+            r#"{"seed": 1, "points": [{"makespan_ms": 100.0, "requests": 12}], "note": "x"}"#;
+        let permuted =
+            r#"{"note": "x", "points": [{"requests": 12, "makespan_ms": 100.0}], "seed": 1}"#;
+        assert!(check_file(base, permuted, "t").unwrap().is_empty());
+    }
+
+    #[test]
+    fn missing_key_is_one_diff_in_any_order() {
+        let base =
+            r#"{"seed": 1, "points": [{"makespan_ms": 100.0, "requests": 12}], "note": "x"}"#;
+        let cand = r#"{"points": [{"requests": 12}], "note": "x", "seed": 1}"#;
+        let diffs = check_file(base, cand, "t").unwrap();
+        assert_eq!(
+            diffs,
+            vec!["t.points[0].makespan_ms: missing from candidate".to_string()]
+        );
     }
 }

@@ -83,10 +83,15 @@ pub fn cufft_dense_baseline(device: &GpuDevice, time: &[Cplx], stream: StreamId)
     let mut data = time.to_vec();
     // Functional transform on the host (parallel, it is the big one).
     ParallelPlan::new(time.len()).process(&mut data, Direction::Forward);
-    device.charge_device_op("cufft_dense", cufft_model_time(device, time.len(), 1), stream);
+    let dur = cufft_model_time(device, time.len(), 1);
+    device
+        .try_charge_device_op("cufft_dense", dur, stream)
+        .expect("the dense baseline runs on a fault-free device");
     // Charge the output transfer explicitly.
     let out_buf = DeviceBuffer::from_host(&data);
-    device.dtoh(&out_buf, stream)
+    device
+        .try_dtoh(&out_buf, stream)
+        .expect("the dense baseline runs on a fault-free device")
 }
 
 #[cfg(test)]

@@ -97,12 +97,6 @@ impl FleetMemberConfig {
     pub fn new(spec: DeviceSpec) -> Self {
         FleetMemberConfig { spec, faults: None }
     }
-
-    /// Overrides this member's fault plan.
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = Some(faults);
-        self
-    }
 }
 
 /// Fleet topology and failure-lifecycle policy.
@@ -385,11 +379,6 @@ impl DeviceFleet {
     /// The fleet topology/policy.
     pub fn config(&self) -> &FleetConfig {
         &self.fleet
-    }
-
-    /// Per-member standby-slab counters (cumulative across calls).
-    pub fn standby_stats(&self) -> Vec<StandbyStats> {
-        self.slabs.iter().map(|s| s.stats()).collect()
     }
 
     /// Per-member `(alloc_ops, release_ops)` pool traffic (cumulative).

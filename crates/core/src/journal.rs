@@ -26,7 +26,7 @@
 //!   verbatim, and re-executes only the groups the crash swallowed.
 //!
 //! **Exactly-once, bit-for-bit.** Fault scopes key on the *global group
-//! index* (see [`crate::serve::scope_group`]), so a re-executed group
+//! index* (see `serve_core::scope_group`), so a re-executed group
 //! rolls the identical fault decisions the lost execution rolled, and
 //! the resumed run's final outcome vector is **exactly equal** to the
 //! uninterrupted run's — no request lost, none double-completed, no

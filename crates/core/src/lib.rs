@@ -38,7 +38,7 @@
 //!   ([`ServeEngine::serve_journaled`] / [`ServeEngine::resume_from`]);
 //! * [`audit`] — the policy flight recorder: every serving-policy
 //!   decision as a causally-linked structured event, with
-//!   [`explain`](audit::explain) decision chains, derived terminal
+//!   [`explain`] decision chains, derived terminal
 //!   causes, and multi-window SLO burn-rate alerting;
 //! * [`chaos`] — a deterministic chaos explorer sweeping fault seeds,
 //!   rate grids, host-crash epochs and fleet device loss, checking a

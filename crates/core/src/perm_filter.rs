@@ -69,18 +69,20 @@ pub fn perm_filter_atomic(
     let half = w / 2;
     let acc = DevAtomicCplx::zeroed(b);
     let cfg = LaunchConfig::for_elements(w, BLOCK);
-    device.launch_foreach("perm_filter_atomic", cfg, stream, |ctx, gm| {
-        let i = ctx.global_id();
-        if i >= w {
-            return;
-        }
-        let src = tap_source_index(i, half, perm);
-        let x = gm.ld(signal, src); // scattered
-        let t = gm.ld_ro(taps, i); // coalesced, read-only
-        gm.flops(8);
-        let bi = (i + b - half % b) % b;
-        acc.fetch_add(gm, bi, x * t);
-    });
+    device
+        .try_launch_foreach("perm_filter_atomic", cfg, stream, |ctx, gm| {
+            let i = ctx.global_id();
+            if i >= w {
+                return;
+            }
+            let src = tap_source_index(i, half, perm);
+            let x = gm.ld(signal, src); // scattered
+            let t = gm.ld_ro(taps, i); // coalesced, read-only
+            gm.flops(8);
+            let bi = (i + b - half % b) % b;
+            acc.fetch_add(gm, bi, x * t);
+        })
+        .expect("the ablation strawman runs on a fault-free device");
     acc.snapshot()
 }
 
@@ -152,7 +154,7 @@ impl std::fmt::Display for SharedMemOverflow {
 impl std::error::Error for SharedMemOverflow {}
 
 /// The conventional GPU-histogram approach with per-block sub-histograms
-/// in shared memory ([21], [22] in the paper): each block accumulates
+/// in shared memory (\[21\], \[22\] in the paper): each block accumulates
 /// into its private copy, then merges into global memory with atomics.
 ///
 /// Returns `Err` when `B` complex buckets do not fit in shared memory —
@@ -189,35 +191,40 @@ pub fn try_perm_filter_shared(
     // occupancy through the launch config. Functionally we accumulate
     // into per-block host-side sub-histograms.
     let subhist = DevAtomicCplx::zeroed(grid_blocks * b);
-    device.launch_foreach("perm_filter_shared", cfg, stream, |ctx, gm| {
-        let i = ctx.global_id();
-        if i >= w {
-            return;
-        }
-        let src = tap_source_index(i, half, perm);
-        let x = gm.ld(signal, src);
-        let t = gm.ld_ro(taps, i);
-        gm.flops(8);
-        let bi = (i + b - half % b) % b;
-        // In-block shared-memory atomics: functional accumulation without
-        // a DRAM trace (intra-block conflicts are negligible for B ≫ 32).
-        subhist.fetch_add_untraced(ctx.block_idx as usize * b + bi, x * t);
-    });
+    device
+        .try_launch_foreach("perm_filter_shared", cfg, stream, |ctx, gm| {
+            let i = ctx.global_id();
+            if i >= w {
+                return;
+            }
+            let src = tap_source_index(i, half, perm);
+            let x = gm.ld(signal, src);
+            let t = gm.ld_ro(taps, i);
+            gm.flops(8);
+            let bi = (i + b - half % b) % b;
+            // In-block shared-memory atomics: functional accumulation
+            // without a DRAM trace (intra-block conflicts are negligible
+            // for B ≫ 32).
+            subhist.fetch_add_untraced(ctx.block_idx as usize * b + bi, x * t);
+        })
+        .expect("the ablation strawman runs on a fault-free device");
 
     // Phase 2: merge the sub-histograms with global atomics — this is the
     // part the paper calls "a major bottleneck to good performance".
     let acc = DevAtomicCplx::zeroed(b);
     let merge_cfg = LaunchConfig::for_elements(grid_blocks * b, BLOCK);
-    device.launch_foreach("perm_filter_shared_merge", merge_cfg, stream, |ctx, gm| {
-        let t = ctx.global_id();
-        if t >= grid_blocks * b {
-            return;
-        }
-        let v = subhist.load_untraced(t);
-        if v != ZERO {
-            acc.fetch_add(gm, t % b, v);
-        }
-    });
+    device
+        .try_launch_foreach("perm_filter_shared_merge", merge_cfg, stream, |ctx, gm| {
+            let t = ctx.global_id();
+            if t >= grid_blocks * b {
+                return;
+            }
+            let v = subhist.load_untraced(t);
+            if v != ZERO {
+                acc.fetch_add(gm, t % b, v);
+            }
+        })
+        .expect("the ablation strawman runs on a fault-free device");
     Ok(acc.snapshot())
 }
 

@@ -159,7 +159,7 @@ impl ExecStreams {
     }
 }
 
-/// Per-request state between [`CusFft::prepare`] and [`CusFft::finish`]:
+/// Per-request state between `CusFft::prepare` and `CusFft::finish`:
 /// the filtered bucket buffers awaiting their (possibly batched-across-
 /// requests) cuFFT, plus the permutations and comb mask the back half
 /// needs.
@@ -222,12 +222,6 @@ impl CusFft {
         self.remap_loc.kind = kind;
         self.remap_est.kind = kind;
         self
-    }
-
-    /// The remap flavour decisions (location side, estimation side) this
-    /// plan made at build time from the transaction model.
-    pub fn remap_choice(&self) -> (RemapChoice, RemapChoice) {
-        (self.remap_loc, self.remap_est)
     }
 
     /// Enables the sFFT-v2 comb pre-filter: a few aliased subsampled FFTs

@@ -129,7 +129,8 @@ pub struct ServeConfig {
     /// Workers are *orchestration* threads: the compute inside each
     /// request (block execution, batched FFT rows, CPU baselines) runs on
     /// the single process-wide host pool behind the vendored `rayon`
-    /// (sized by `CUSFFT_HOST_THREADS`, default `num_cpus` capped at 16).
+    /// (sized by `CUSFFT_HOST_THREADS`, default the logical CPU count
+    /// capped at 16).
     /// `workers × pool threads` therefore never multiplies into
     /// oversubscription — all workers' parallel calls queue on the same
     /// pool — so `workers` should be sized for stream-overlap shape
@@ -572,7 +573,7 @@ impl ServeEngine {
     /// come back as [`RequestOutcome::Failed`].
     ///
     /// This is the journaled epoch loop with no journal and a single
-    /// epoch (see [`crate::serve_core`]).
+    /// epoch (see the crate-private `serve_core` module).
     pub fn serve_batch(&self, requests: &[ServeRequest]) -> ServeReport {
         self.serve_epochs(requests, None)
             .into_report()

@@ -9,14 +9,12 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number with `f64` real and imaginary parts.
 ///
 /// Layout-compatible with a `[f64; 2]` pair (`#[repr(C)]`), which the GPU
 /// simulator relies on when it charges 16 bytes per element of memory
 /// traffic.
-#[derive(Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq)]
 #[repr(C)]
 pub struct Cplx {
     /// Real part.

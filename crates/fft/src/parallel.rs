@@ -28,11 +28,6 @@ impl ParallelPlan {
         ParallelPlan { plan: Plan::new(n) }
     }
 
-    /// Wraps an existing plan.
-    pub fn from_plan(plan: Plan) -> Self {
-        ParallelPlan { plan }
-    }
-
     /// Transform size.
     #[inline]
     pub fn len(&self) -> usize {

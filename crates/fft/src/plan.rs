@@ -118,12 +118,6 @@ impl Plan {
         false
     }
 
-    /// log2 of the transform size.
-    #[inline]
-    pub fn log2_len(&self) -> u32 {
-        self.log2n
-    }
-
     /// Forward twiddle table (`n/2` entries), exposed for the parallel
     /// executor in [`crate::parallel`].
     #[inline]

@@ -179,7 +179,7 @@ impl<T: Copy + Default> DeviceBuffer<T> {
 
 impl<T: Copy> DeviceBuffer<T> {
     /// Allocates a buffer holding a copy of `host` (the data movement cost
-    /// is charged by [`crate::device::GpuDevice::htod`], which calls this).
+    /// is charged by [`crate::device::GpuDevice::try_htod`]).
     ///
     /// Untracked; see [`DeviceBuffer::zeroed`] for the distinction.
     pub fn from_host(host: &[T]) -> Self {
@@ -239,7 +239,7 @@ impl<T: Copy> DeviceBuffer<T> {
         &self.data
     }
 
-    /// Mutable view — used by the executor for `launch_map` outputs; not
+    /// Mutable view — used by the executor for `try_launch_map` outputs; not
     /// normally touched by user code.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
@@ -248,7 +248,7 @@ impl<T: Copy> DeviceBuffer<T> {
 
     /// Copies device contents back to a fresh host vector *without* going
     /// through the device (test/debug helper; benchmark code should use
-    /// [`crate::device::GpuDevice::dtoh`] so PCIe time is charged).
+    /// [`crate::device::GpuDevice::try_dtoh`] so PCIe time is charged).
     pub fn peek(&self) -> Vec<T> {
         self.data.clone()
     }

@@ -7,12 +7,12 @@
 //! path) — while a sampled subset of blocks is traced for the cost
 //! model. Two launch shapes cover every kernel in the paper:
 //!
-//! * [`GpuDevice::launch_map`] — thread `tid` computes `out[tid] = f(tid)`.
-//!   Safe scatter-free writes; the pool splits the output into disjoint
-//!   per-block chunks.
-//! * [`GpuDevice::launch_foreach`] — threads read global memory and update
-//!   [`crate::atomic`] arrays; no plain writes. This is the histogram /
-//!   voting shape.
+//! * [`GpuDevice::try_launch_map`] — thread `tid` computes
+//!   `out[tid] = f(tid)`. Safe scatter-free writes; the pool splits the
+//!   output into disjoint per-block chunks.
+//! * [`GpuDevice::try_launch_foreach`] — threads read global memory and
+//!   update [`crate::atomic`] arrays; no plain writes. This is the
+//!   histogram / voting shape.
 //!
 //! # Determinism under host parallelism
 //!
@@ -30,7 +30,6 @@
 //! Every launch and transfer appends an [`Op`] with its modelled duration
 //! to the timeline; [`GpuDevice::elapsed`] replays the stream schedule and
 //! returns the simulated makespan.
-
 //!
 //! # Faults
 //!
@@ -41,10 +40,7 @@
 //! Injected faults are recorded as timeline ops (`fault:<kind>:<name>`)
 //! charging the time the failure wasted. Tracked allocations are charged
 //! against a [`MemPool`] sized from `DeviceSpec::global_mem_bytes`, so
-//! OOM can also happen for real. The infallible legacy entry points
-//! (`htod`, `launch_map`, …) delegate to the `try_*` forms and are valid
-//! only on devices without a fault plan and within memory capacity —
-//! they document that invariant in their `expect` messages.
+//! OOM can also happen for real.
 
 use std::sync::Arc;
 
@@ -236,11 +232,6 @@ impl GpuDevice {
         self.pool.used()
     }
 
-    /// Bytes available to tracked allocations.
-    pub fn free_bytes(&self) -> u64 {
-        self.pool.free()
-    }
-
     /// Successful `MemPool` reservations since device creation
     /// (monotonic). The delta across a request is the per-request
     /// allocation traffic — zero in a warmed steady state.
@@ -373,15 +364,6 @@ impl GpuDevice {
         Ok(buf)
     }
 
-    /// Host→device copy; charges PCIe time on `stream`.
-    ///
-    /// Invariant: valid only on a device without a fault plan and within
-    /// memory capacity — serving-path code uses [`GpuDevice::try_htod`].
-    pub fn htod<T: Copy>(&self, host: &[T], stream: StreamId) -> DeviceBuffer<T> {
-        self.try_htod(host, stream)
-            .expect("htod on a fault-free device within capacity")
-    }
-
     /// Allocates a zeroed device buffer, tracked against device capacity
     /// (cudaMalloc+cudaMemset; modelled as time-free, matching the
     /// paper's timing which excludes allocation — but no longer
@@ -406,16 +388,6 @@ impl GpuDevice {
             }
         }
         DeviceBuffer::zeroed_in(len, &self.pool)
-    }
-
-    /// Allocates a zeroed device buffer.
-    ///
-    /// Invariant: valid only on a device without a fault plan and within
-    /// memory capacity — serving-path code uses
-    /// [`GpuDevice::try_alloc_zeroed`].
-    pub fn alloc_zeroed<T: Copy + Default>(&self, len: usize) -> DeviceBuffer<T> {
-        self.try_alloc_zeroed(len, DEFAULT_STREAM)
-            .expect("alloc on a fault-free device within capacity")
     }
 
     /// Makes `host` resident on the device as a tracked allocation
@@ -648,15 +620,6 @@ impl GpuDevice {
         Ok(out)
     }
 
-    /// Device→host copy; charges PCIe time on `stream`.
-    ///
-    /// Invariant: valid only on a device without a fault plan —
-    /// serving-path code uses [`GpuDevice::try_dtoh`].
-    pub fn dtoh<T: Copy + SdcTarget>(&self, buf: &DeviceBuffer<T>, stream: StreamId) -> Vec<T> {
-        self.try_dtoh(buf, stream)
-            .expect("dtoh on a fault-free device")
-    }
-
     fn push_transfer(&self, label: &str, bytes: usize, stream: StreamId) {
         let dur = transfer_time(&self.spec, bytes);
         let mut st = self.state.lock();
@@ -740,15 +703,6 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// Charges an externally-modelled device operation.
-    ///
-    /// Invariant: valid only on a device without a fault plan —
-    /// serving-path code uses [`GpuDevice::try_charge_device_op`].
-    pub fn charge_device_op(&self, label: &str, duration: f64, stream: StreamId) {
-        self.try_charge_device_op(label, duration, stream)
-            .expect("modelled op on a fault-free device");
-    }
-
     /// Charges a host-side wait (retry backoff, watchdog recovery) on
     /// `stream`. Host ops occupy only their own stream — no device share,
     /// no kernel slot, no copy engine — and never fault.
@@ -792,25 +746,6 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// Launches a map kernel.
-    ///
-    /// Invariant: valid only on a device without a fault plan —
-    /// serving-path code uses [`GpuDevice::try_launch_map`].
-    pub fn launch_map<T, F>(
-        &self,
-        name: &str,
-        cfg: LaunchConfig,
-        stream: StreamId,
-        out: &mut DeviceBuffer<T>,
-        f: F,
-    ) where
-        T: Copy + Send + Sync,
-        F: Fn(ThreadCtx, &mut Gmem<'_>) -> T + Sync,
-    {
-        self.try_launch_map(name, cfg, stream, out, f)
-            .expect("launch on a fault-free device");
-    }
-
     /// Like [`GpuDevice::try_launch_map`], but the output is an
     /// L2-resident scratch buffer consumed by the next kernel on the
     /// stream before it can be evicted: the stores are not charged as DRAM
@@ -838,25 +773,6 @@ impl GpuDevice {
         self.launch_fault_gate(name, stream)?;
         self.launch_map_inner(name, cfg, stream, out, f, true);
         Ok(())
-    }
-
-    /// Launches a scratch-output map kernel.
-    ///
-    /// Invariant: valid only on a device without a fault plan —
-    /// serving-path code uses [`GpuDevice::try_launch_map_scratch`].
-    pub fn launch_map_scratch<T, F>(
-        &self,
-        name: &str,
-        cfg: LaunchConfig,
-        stream: StreamId,
-        out: &mut DeviceBuffer<T>,
-        f: F,
-    ) where
-        T: Copy + Send + Sync,
-        F: Fn(ThreadCtx, &mut Gmem<'_>) -> T + Sync,
-    {
-        self.try_launch_map_scratch(name, cfg, stream, out, f)
-            .expect("launch on a fault-free device");
     }
 
     fn launch_map_inner<T, F>(
@@ -928,7 +844,7 @@ impl GpuDevice {
             })
             .collect();
 
-        self.finish_launch(name, cfg, stream, block_traces, sample_every);
+        self.finish_launch(name, cfg, stream, block_traces);
     }
 
     /// Launches a side-effect kernel: every thread runs `f(ctx, gm)`;
@@ -949,18 +865,6 @@ impl GpuDevice {
         self.launch_fault_gate(name, stream)?;
         self.launch_foreach_inner(name, cfg, stream, f);
         Ok(())
-    }
-
-    /// Launches a side-effect kernel.
-    ///
-    /// Invariant: valid only on a device without a fault plan —
-    /// serving-path code uses [`GpuDevice::try_launch_foreach`].
-    pub fn launch_foreach<F>(&self, name: &str, cfg: LaunchConfig, stream: StreamId, f: F)
-    where
-        F: Fn(ThreadCtx, &mut Gmem<'_>) + Sync,
-    {
-        self.try_launch_foreach(name, cfg, stream, f)
-            .expect("launch on a fault-free device");
     }
 
     fn launch_foreach_inner<F>(&self, name: &str, cfg: LaunchConfig, stream: StreamId, f: F)
@@ -1004,7 +908,7 @@ impl GpuDevice {
             })
             .collect();
 
-        self.finish_launch(name, cfg, stream, block_traces, sample_every);
+        self.finish_launch(name, cfg, stream, block_traces);
     }
 
     fn finish_launch(
@@ -1013,11 +917,9 @@ impl GpuDevice {
         cfg: LaunchConfig,
         stream: StreamId,
         block_traces: Vec<Vec<ThreadTrace>>,
-        sample_every: usize,
     ) {
         let sampled_blocks = block_traces.len().max(1);
         let scale = cfg.grid_dim as f64 / sampled_blocks as f64;
-        let _ = sample_every;
         let stats = aggregate(name, cfg, self.spec.warp_size, &block_traces, scale);
         let cost = kernel_cost(&self.spec, &stats);
         let mut st = self.state.lock();
@@ -1116,14 +1018,17 @@ mod tests {
     #[test]
     fn map_kernel_computes_correct_values() {
         let dev = GpuDevice::new(DeviceSpec::test_tiny());
-        let input = dev.htod(&(0..1000u64).collect::<Vec<_>>(), DEFAULT_STREAM);
-        let mut out: DeviceBuffer<u64> = dev.alloc_zeroed(1000);
+        let input = dev
+            .try_htod(&(0..1000u64).collect::<Vec<_>>(), DEFAULT_STREAM)
+            .unwrap();
+        let mut out: DeviceBuffer<u64> = dev.try_alloc_zeroed(1000, DEFAULT_STREAM).unwrap();
         let cfg = LaunchConfig::for_elements(1000, 64);
-        dev.launch_map("square", cfg, DEFAULT_STREAM, &mut out, |ctx, gm| {
+        dev.try_launch_map("square", cfg, DEFAULT_STREAM, &mut out, |ctx, gm| {
             let v = gm.ld(&input, ctx.global_id());
             v * v
-        });
-        let host = dev.dtoh(&out, DEFAULT_STREAM);
+        })
+        .unwrap();
+        let host = dev.try_dtoh(&out, DEFAULT_STREAM).unwrap();
         for (i, v) in host.iter().enumerate() {
             assert_eq!(*v, (i * i) as u64);
         }
@@ -1134,9 +1039,10 @@ mod tests {
         let dev = GpuDevice::new(DeviceSpec::test_tiny());
         let hist = DevAtomicU32::zeroed(16);
         let cfg = LaunchConfig::for_elements(4096, 64);
-        dev.launch_foreach("hist", cfg, DEFAULT_STREAM, |ctx, gm| {
+        dev.try_launch_foreach("hist", cfg, DEFAULT_STREAM, |ctx, gm| {
             hist.fetch_add(gm, ctx.global_id() % 16, 1);
-        });
+        })
+        .unwrap();
         assert!(hist.snapshot().iter().all(|&c| c == 256));
     }
 
@@ -1145,24 +1051,26 @@ mod tests {
         let dev = GpuDevice::new(DeviceSpec::test_tiny());
         assert_eq!(dev.elapsed(), 0.0);
         let data: Vec<f64> = vec![1.0; 4096];
-        let input = dev.htod(&data, DEFAULT_STREAM);
-        let mut out: DeviceBuffer<f64> = dev.alloc_zeroed(4096);
-        dev.launch_map(
+        let input = dev.try_htod(&data, DEFAULT_STREAM).unwrap();
+        let mut out: DeviceBuffer<f64> = dev.try_alloc_zeroed(4096, DEFAULT_STREAM).unwrap();
+        dev.try_launch_map(
             "copy",
             LaunchConfig::for_elements(4096, 64),
             DEFAULT_STREAM,
             &mut out,
             |ctx, gm| gm.ld(&input, ctx.global_id()),
-        );
+        )
+        .unwrap();
         let t1 = dev.elapsed();
         assert!(t1 > 0.0);
-        dev.launch_map(
+        dev.try_launch_map(
             "copy2",
             LaunchConfig::for_elements(4096, 64),
             DEFAULT_STREAM,
             &mut out,
             |ctx, gm| gm.ld(&input, ctx.global_id()),
-        );
+        )
+        .unwrap();
         assert!(dev.elapsed() > t1);
         dev.reset_clock();
         assert_eq!(dev.elapsed(), 0.0);
@@ -1177,19 +1085,21 @@ mod tests {
         let input = DeviceBuffer::from_host(&data); // skip transfer charge
         let cfg = LaunchConfig::for_elements(n, 256);
 
-        let mut out: DeviceBuffer<f64> = dev.alloc_zeroed(n);
-        dev.launch_map("coalesced", cfg, DEFAULT_STREAM, &mut out, |ctx, gm| {
+        let mut out: DeviceBuffer<f64> = dev.try_alloc_zeroed(n, DEFAULT_STREAM).unwrap();
+        dev.try_launch_map("coalesced", cfg, DEFAULT_STREAM, &mut out, |ctx, gm| {
             gm.ld(&input, ctx.global_id())
-        });
+        })
+        .unwrap();
         let t_coal = dev.elapsed();
         dev.reset_clock();
 
         // 8-byte elements scattered into distinct 32 B segments: 4×
         // read-traffic amplification (8 B useful per 32 B segment).
         let stride = 999_983; // prime, co-prime with n → full scatter
-        dev.launch_map("scattered", cfg, DEFAULT_STREAM, &mut out, |ctx, gm| {
+        dev.try_launch_map("scattered", cfg, DEFAULT_STREAM, &mut out, |ctx, gm| {
             gm.ld(&input, (ctx.global_id() * stride) % n)
-        });
+        })
+        .unwrap();
         let t_scat = dev.elapsed();
         assert!(
             t_scat > 1.5 * t_coal,
@@ -1205,8 +1115,9 @@ mod tests {
         assert_ne!(s1, s2);
         // Large transfer on s1, kernel on s2: makespan ≈ max, not sum.
         let big: Vec<f64> = vec![0.0; 1 << 16];
-        let _buf = dev.htod(&big, s1);
-        dev.charge_device_op("k", transfer_time(dev.spec(), 8 << 16), s2);
+        let _buf = dev.try_htod(&big, s1).unwrap();
+        dev.try_charge_device_op("k", transfer_time(dev.spec(), 8 << 16), s2)
+            .unwrap();
         let serial: f64 = dev
             .records()
             .iter()
@@ -1218,14 +1129,15 @@ mod tests {
     #[test]
     fn profiler_report_contains_kernels() {
         let dev = GpuDevice::new(DeviceSpec::test_tiny());
-        let mut out: DeviceBuffer<u32> = dev.alloc_zeroed(128);
-        dev.launch_map(
+        let mut out: DeviceBuffer<u32> = dev.try_alloc_zeroed(128, DEFAULT_STREAM).unwrap();
+        dev.try_launch_map(
             "mykernel",
             LaunchConfig::for_elements(128, 32),
             DEFAULT_STREAM,
             &mut out,
             |ctx, _| ctx.global_id() as u32,
-        );
+        )
+        .unwrap();
         let report = dev.profile_report();
         assert!(report.contains("mykernel"));
         let by_kernel = dev.time_by_kernel();
@@ -1241,14 +1153,15 @@ mod tests {
         let n = 1usize << 18;
         let data: Vec<Cplx> = vec![Cplx::new(0.0, 0.0); n];
         let input = DeviceBuffer::from_host(&data);
-        let mut out: DeviceBuffer<Cplx> = dev.alloc_zeroed(n);
-        dev.launch_map(
+        let mut out: DeviceBuffer<Cplx> = dev.try_alloc_zeroed(n, DEFAULT_STREAM).unwrap();
+        dev.try_launch_map(
             "stream",
             LaunchConfig::for_elements(n, 256),
             DEFAULT_STREAM,
             &mut out,
             |ctx, gm| gm.ld(&input, ctx.global_id()),
-        );
+        )
+        .unwrap();
         let rec = &dev.records()[0];
         let ideal = (n * 32) as f64; // 16 B read + 16 B write per element
         let ratio = rec.stats.dram_bytes / ideal;
@@ -1381,7 +1294,7 @@ mod tests {
     #[test]
     fn host_ops_do_not_slow_the_device() {
         let dev = GpuDevice::new(DeviceSpec::test_tiny());
-        dev.charge_device_op("k", 1e-3, DEFAULT_STREAM);
+        dev.try_charge_device_op("k", 1e-3, DEFAULT_STREAM).unwrap();
         let t_kernel = dev.elapsed();
         let s2 = dev.create_stream();
         dev.charge_host_op("backoff", 0.5e-3, s2);
@@ -1393,13 +1306,14 @@ mod tests {
     #[should_panic(expected = "does not cover output")]
     fn undersized_grid_panics() {
         let dev = GpuDevice::new(DeviceSpec::test_tiny());
-        let mut out: DeviceBuffer<u32> = dev.alloc_zeroed(1000);
-        dev.launch_map(
+        let mut out: DeviceBuffer<u32> = dev.try_alloc_zeroed(1000, DEFAULT_STREAM).unwrap();
+        dev.try_launch_map(
             "bad",
             LaunchConfig::new(1, 32),
             DEFAULT_STREAM,
             &mut out,
             |_, _| 0,
-        );
+        )
+        .unwrap();
     }
 }

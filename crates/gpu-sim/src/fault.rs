@@ -52,7 +52,7 @@ pub enum FaultClass {
     Sdc,
     /// Whole-device loss: the device goes dark mid-epoch (XID-style
     /// bus drop / firmware hang). Unlike the per-op classes above this
-    /// is never rolled by [`FaultState::decide`] on the op path — the
+    /// is never rolled by `FaultState::decide` on the op path — the
     /// fleet layer rolls it directly via [`fault_roll`] at epoch
     /// granularity with the member's device scope, so enabling it can
     /// never shift the per-op fault timeline of existing workloads.

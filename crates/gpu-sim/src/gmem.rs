@@ -98,7 +98,7 @@ impl<'a> Gmem<'a> {
     }
 
     /// Records the store the executor performs on this thread's behalf
-    /// (used by `launch_map` for `out[tid] = …`). `cached` marks stores to
+    /// (used by `try_launch_map` for `out[tid] = …`). `cached` marks stores to
     /// L2-resident scratch that is consumed before eviction.
     #[inline]
     pub(crate) fn note_store(&mut self, addr: u64, bytes: u32, cached: bool) {

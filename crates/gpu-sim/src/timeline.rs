@@ -23,10 +23,8 @@
 //! the scheduler itself is a pure function of the op list. A timeline is
 //! therefore bit-identical across `CUSFFT_HOST_THREADS` settings.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a stream. Stream 0 is the default stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamId(pub u32);
 
 /// Which engine an operation occupies.

@@ -9,10 +9,8 @@
 //! gives the simulator its sensitivity to the paper's coalescing
 //! optimisations.
 
-use serde::{Deserialize, Serialize};
-
 /// What kind of memory operation an access was.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Plain global load, independent of previous loads (address known
     /// up-front — e.g. after the paper's *index mapping* rewrite).

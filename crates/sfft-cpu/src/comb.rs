@@ -1,5 +1,5 @@
 //! The Comb-filter heuristic of sFFT v2 (Hassanieh et al., SODA 2012 —
-//! reference [2] of the paper).
+//! reference \[2\] of the paper).
 //!
 //! Subsampling the time signal by `n/M` aliases the spectrum mod `M`:
 //! every coefficient `x̂_f` folds onto residue `f mod M`. A handful of

@@ -1,5 +1,5 @@
 //! PsFFT — the multicore CPU sparse FFT (the paper's OpenMP baseline from
-//! prior work [6]), reimplemented with rayon.
+//! prior work \[6\]), reimplemented with rayon.
 //!
 //! Parallel structure mirrors the OpenMP version:
 //!

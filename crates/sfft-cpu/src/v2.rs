@@ -2,7 +2,7 @@
 //!
 //! The comb restricts location candidates to `O(k)` residue classes mod
 //! `M`, which shrinks the voting work and starves spurious hits of votes.
-//! This is the second algorithm of the paper's reference [2]; cusFFT
+//! This is the second algorithm of the paper's reference \[2\]; cusFFT
 //! ports v1, so v2 lives here as the extension the original authors list
 //! among the variants ("more applications with denser spectra could also
 //! achieve speedups").

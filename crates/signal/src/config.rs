@@ -1,10 +1,8 @@
-//! Serialisable experiment configurations — the workload descriptions the
+//! Experiment configurations — the workload descriptions the
 //! bench harness sweeps over (signal size, sparsity, noise, seeds).
 
-use serde::{Deserialize, Serialize};
-
 /// One experiment point: a workload plus replication settings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// log2 of the signal size.
     pub log2_n: u32,

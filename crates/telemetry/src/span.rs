@@ -621,11 +621,6 @@ impl SpanTree {
         &self.spans[0]
     }
 
-    /// All spans with the given parent, in tree order.
-    pub fn children_of(&self, id: u64) -> Vec<&Span> {
-        self.spans.iter().filter(|s| s.parent == Some(id)).collect()
-    }
-
     /// Structural validation: ids are unique and nonzero, every non-root
     /// parent exists and is not a leaf, every op index in `0..num_ops`
     /// is referenced by exactly one leaf span, and every child's interval

@@ -3,10 +3,7 @@
 //! other — each pair of implementations cross-checks the other.
 
 use fft::cplx::Cplx;
-use fft::{
-    bluestein_fft, BatchPlan, Direction, FourStepPlan, ParallelPlan, Plan, RealPlan,
-    StockhamPlan,
-};
+use fft::{bluestein_fft, BatchPlan, Direction, ParallelPlan, Plan};
 
 fn rand_signal(n: usize, seed: u64) -> Vec<Cplx> {
     let mut s = seed;
@@ -22,14 +19,12 @@ fn rand_signal(n: usize, seed: u64) -> Vec<Cplx> {
 }
 
 #[test]
-fn five_fft_implementations_agree() {
+fn fft_implementations_agree() {
     for log2 in [6u32, 9, 12] {
         let n = 1usize << log2;
         let x = rand_signal(n, log2 as u64);
         let reference = Plan::new(n).transform(&x, Direction::Forward);
         let candidates: Vec<(&str, Vec<Cplx>)> = vec![
-            ("stockham", StockhamPlan::new(n).transform(&x, Direction::Forward)),
-            ("four-step", FourStepPlan::new(n).transform(&x, Direction::Forward)),
             ("bluestein", bluestein_fft(&x, Direction::Forward)),
             ("parallel", ParallelPlan::new(n).transform(&x, Direction::Forward)),
         ];
@@ -46,16 +41,11 @@ fn five_fft_implementations_agree() {
 }
 
 #[test]
-fn real_fft_agrees_with_complex_pipeline() {
+fn real_input_spectrum_is_conjugate_symmetric() {
     let n = 512;
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin() * (i as f64 * 0.031).cos()).collect();
     let as_complex: Vec<Cplx> = x.iter().map(|&v| Cplx::real(v)).collect();
     let full = Plan::new(n).transform(&as_complex, Direction::Forward);
-    let half = RealPlan::new(n).forward(&x);
-    for f in 0..=n / 2 {
-        assert!(half[f].dist(full[f]) < 1e-8, "bin {f}");
-    }
-    // Conjugate symmetry of the full transform (what r2c relies on).
     for f in 1..n / 2 {
         assert!(full[n - f].dist(full[f].conj()) < 1e-8);
     }
@@ -110,17 +100,14 @@ fn filter_response_consistent_between_band_and_signal_path() {
 fn selection_algorithms_agree_on_distinct_values() {
     let values: Vec<f64> = (0..4096).map(|i| ((i * 2654435761usize) % 999983) as f64).collect();
     let k = 63;
-    let a = kselect::sort_select(&values, k);
-    let b = kselect::radix_sort_select(&values, k);
-    let mut c = kselect::quickselect_top_k(&values, k);
-    let d = kselect::bucket_select(&values, k);
-    assert_eq!(a, b, "two sorts agree on order");
-    c.sort_unstable();
-    let mut a_sorted = a.clone();
-    a_sorted.sort_unstable();
-    assert_eq!(a_sorted, c, "quickselect finds the same set");
-    for idx in &a_sorted {
-        assert!(d.indices.contains(idx), "bucket_select missing {idx}");
+    let mut a = kselect::sort_select(&values, k);
+    let mut b = kselect::quickselect_top_k(&values, k);
+    let c = kselect::bucket_select(&values, k);
+    a.sort_unstable();
+    b.sort_unstable();
+    assert_eq!(a, b, "quickselect finds the same set");
+    for idx in &a {
+        assert!(c.indices.contains(idx), "bucket_select missing {idx}");
     }
 }
 

@@ -420,13 +420,17 @@ impl<T> Deref for PooledBuffer<T> {
     type Target = DeviceBuffer<T>;
 
     fn deref(&self) -> &DeviceBuffer<T> {
-        self.inner.as_ref().expect("pooled buffer present until drop")
+        self.inner
+            .as_ref()
+            .expect("pooled buffer present until drop")
     }
 }
 
 impl<T> DerefMut for PooledBuffer<T> {
     fn deref_mut(&mut self) -> &mut DeviceBuffer<T> {
-        self.inner.as_mut().expect("pooled buffer present until drop")
+        self.inner
+            .as_mut()
+            .expect("pooled buffer present until drop")
     }
 }
 
@@ -547,10 +551,7 @@ impl StandbySlabs {
     pub fn release(&self, slot: usize) {
         assert!(slot < self.slots, "standby slot {slot} out of range");
         let mut free = self.free.lock();
-        assert!(
-            !free.contains(&slot),
-            "standby slot {slot} released twice"
-        );
+        assert!(!free.contains(&slot), "standby slot {slot} released twice");
         free.push(slot);
         self.releases.fetch_add(1, Ordering::Relaxed);
     }

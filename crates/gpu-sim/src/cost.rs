@@ -46,7 +46,9 @@ pub struct KernelCost {
 /// blocks-per-SM) are applied.
 pub fn resident_warps(spec: &DeviceSpec, stats: &KernelStats) -> f64 {
     let warps_per_block = stats.block_dim.div_ceil(spec.warp_size) as f64;
-    let mut blocks_per_sm = (spec.max_warps_per_sm as f64 / warps_per_block).floor().max(1.0);
+    let mut blocks_per_sm = (spec.max_warps_per_sm as f64 / warps_per_block)
+        .floor()
+        .max(1.0);
     // Kepler caps resident blocks per SM at 16.
     blocks_per_sm = blocks_per_sm.min(16.0);
     if stats.shared_mem_bytes > 0 {
@@ -71,8 +73,7 @@ pub fn kernel_cost(spec: &DeviceSpec, stats: &KernelStats) -> KernelCost {
         0.0
     };
 
-    let occupancy_util =
-        (resident / (spec.sm_count as f64 * WARPS_FOR_ALU)).clamp(1e-6, 1.0);
+    let occupancy_util = (resident / (spec.sm_count as f64 * WARPS_FOR_ALU)).clamp(1e-6, 1.0);
     let t_compute = if stats.flops > 0.0 {
         stats.flops / spec.peak_fp64_flops() / occupancy_util
     } else {

@@ -550,7 +550,9 @@ mod tests {
     fn persistent_config_always_fires() {
         let mut st = FaultState::new(FaultConfig::persistent(3));
         for _ in 0..100 {
-            assert!(st.decide(&[FaultClass::Launch, FaultClass::Timeout]).is_some());
+            assert!(st
+                .decide(&[FaultClass::Launch, FaultClass::Timeout])
+                .is_some());
         }
     }
 
@@ -595,7 +597,10 @@ mod tests {
         // The fleet rolls it directly; the roll is pure and class-salted.
         assert_eq!(FaultClass::DeviceLoss.label(), "device_loss");
         let r = fault_roll(7, 42, 0, FaultClass::DeviceLoss);
-        assert_eq!(r.to_bits(), fault_roll(7, 42, 0, FaultClass::DeviceLoss).to_bits());
+        assert_eq!(
+            r.to_bits(),
+            fault_roll(7, 42, 0, FaultClass::DeviceLoss).to_bits()
+        );
         assert_ne!(
             r.to_bits(),
             fault_roll(7, 42, 0, FaultClass::Timeout).to_bits()
@@ -661,7 +666,10 @@ mod tests {
         let mut b = FaultState::new(cfg);
         b.set_scope(1);
         let rb: Vec<_> = (0..64).map(|_| b.decide(&[FaultClass::Launch])).collect();
-        assert_ne!(ra, rb, "distinct scopes should see distinct fault timelines");
+        assert_ne!(
+            ra, rb,
+            "distinct scopes should see distinct fault timelines"
+        );
     }
 
     #[test]

@@ -154,7 +154,11 @@ impl DeviceSpec {
 
     /// Peak double-precision FLOP rate (fused multiply-add counted as two).
     pub fn peak_fp64_flops(&self) -> f64 {
-        self.sm_count as f64 * self.cores_per_sm as f64 * self.clock_ghz * 1e9 * 2.0
+        self.sm_count as f64
+            * self.cores_per_sm as f64
+            * self.clock_ghz
+            * 1e9
+            * 2.0
             * self.fp64_ratio
     }
 

@@ -127,7 +127,11 @@ pub fn schedule(ops: &[Op], max_concurrent_kernels: u32) -> Schedule {
                 continue;
             }
             seen_stream.push(op.stream);
-            if op.wait_for.iter().all(|&d| done.get(d).copied().unwrap_or(true)) {
+            if op
+                .wait_for
+                .iter()
+                .all(|&d| done.get(d).copied().unwrap_or(true))
+            {
                 eligible.push(i);
             }
         }
@@ -411,10 +415,7 @@ mod tests {
 
     #[test]
     fn single_stream_serialises() {
-        let ops = vec![
-            op(0, 0, Engine::Device, 1.0),
-            op(1, 0, Engine::Device, 2.0),
-        ];
+        let ops = vec![op(0, 0, Engine::Device, 1.0), op(1, 0, Engine::Device, 2.0)];
         let s = schedule(&ops, 32);
         assert!((s.makespan - 3.0).abs() < 1e-12);
         assert!((s.ops[0].end - 1.0).abs() < 1e-12);
@@ -425,10 +426,7 @@ mod tests {
     fn two_memory_kernels_share_the_device() {
         // Two 1-second kernels on different streams: each runs at half
         // rate while both active → both finish at t=2. No free lunch.
-        let ops = vec![
-            op(0, 0, Engine::Device, 1.0),
-            op(1, 1, Engine::Device, 1.0),
-        ];
+        let ops = vec![op(0, 0, Engine::Device, 1.0), op(1, 1, Engine::Device, 1.0)];
         let s = schedule(&ops, 32);
         assert!((s.makespan - 2.0).abs() < 1e-12);
         assert!((s.ops[0].start).abs() < 1e-12);
@@ -437,10 +435,7 @@ mod tests {
 
     #[test]
     fn transfer_overlaps_kernel_for_free() {
-        let ops = vec![
-            op(0, 0, Engine::Device, 2.0),
-            op(1, 1, Engine::Pcie, 2.0),
-        ];
+        let ops = vec![op(0, 0, Engine::Device, 2.0), op(1, 1, Engine::Pcie, 2.0)];
         let s = schedule(&ops, 32);
         assert!((s.makespan - 2.0).abs() < 1e-12, "full overlap expected");
     }
@@ -450,10 +445,7 @@ mod tests {
         // 1 s and 3 s kernels: both at half rate until the short one
         // finishes at t=2 (having done 1 s of work); the long one then has
         // 2 s left at full rate → ends at 4.
-        let ops = vec![
-            op(0, 0, Engine::Device, 1.0),
-            op(1, 1, Engine::Device, 3.0),
-        ];
+        let ops = vec![op(0, 0, Engine::Device, 1.0), op(1, 1, Engine::Device, 3.0)];
         let s = schedule(&ops, 32);
         assert!((s.ops[0].end - 2.0).abs() < 1e-12);
         assert!((s.ops[1].end - 4.0).abs() < 1e-12);
@@ -475,10 +467,7 @@ mod tests {
     #[test]
     fn stream_order_respected_across_engines() {
         // stream 0: transfer then kernel — kernel must wait for transfer.
-        let ops = vec![
-            op(0, 0, Engine::Pcie, 1.0),
-            op(1, 0, Engine::Device, 1.0),
-        ];
+        let ops = vec![op(0, 0, Engine::Pcie, 1.0), op(1, 0, Engine::Device, 1.0)];
         let s = schedule(&ops, 32);
         assert!((s.ops[1].start - 1.0).abs() < 1e-12);
         assert!((s.makespan - 2.0).abs() < 1e-12);
@@ -518,10 +507,7 @@ mod tests {
         assert!((s.ops[2].start).abs() < 1e-12, "host op starts immediately");
         // And host ops do not dilute the device share: one kernel plus one
         // host wait → kernel runs at full rate.
-        let ops = vec![
-            op(0, 0, Engine::Device, 1.0),
-            op(1, 1, Engine::Host, 0.5),
-        ];
+        let ops = vec![op(0, 0, Engine::Device, 1.0), op(1, 1, Engine::Host, 0.5)];
         let s = schedule(&ops, 32);
         assert!((s.ops[0].end - 1.0).abs() < 1e-12);
     }
@@ -544,16 +530,10 @@ mod tests {
     #[test]
     fn merge_remaps_streams_to_disjoint_ids() {
         // Two workers, each with two serial ops on their local stream 0.
-        let worker = |dur: f64| {
-            vec![
-                op(0, 0, Engine::Device, dur),
-                op(1, 0, Engine::Device, dur),
-            ]
-        };
+        let worker = |dur: f64| vec![op(0, 0, Engine::Device, dur), op(1, 0, Engine::Device, dur)];
         let merged = merge_op_groups(&[worker(1.0), worker(1.0)]);
         assert_eq!(merged.len(), 4);
-        let streams: std::collections::HashSet<u32> =
-            merged.iter().map(|o| o.stream.0).collect();
+        let streams: std::collections::HashSet<u32> = merged.iter().map(|o| o.stream.0).collect();
         assert_eq!(streams.len(), 2, "one global stream per worker");
         // Ids are contiguous and sorted.
         for (i, o) in merged.iter().enumerate() {
@@ -577,7 +557,11 @@ mod tests {
         let g1 = vec![op(0, 0, Engine::Device, 1.0)];
         let merged = merge_op_groups(&[g0, g1]);
         // Round-robin order: g0#0, g1#0, g0#1.
-        assert_eq!(merged[2].wait_for, vec![0], "dependency follows renumbering");
+        assert_eq!(
+            merged[2].wait_for,
+            vec![0],
+            "dependency follows renumbering"
+        );
         let s = schedule(&merged, 32);
         // g0#1 cannot start before g0#0 ends.
         assert!(s.ops[2].start >= s.ops[0].end - 1e-12);
@@ -602,10 +586,7 @@ mod tests {
     #[test]
     fn profile_counts_serial_ops_once() {
         // Back-to-back ops on one stream: never 2 concurrent streams.
-        let ops = vec![
-            op(0, 0, Engine::Device, 1.0),
-            op(1, 0, Engine::Device, 1.0),
-        ];
+        let ops = vec![op(0, 0, Engine::Device, 1.0), op(1, 0, Engine::Device, 1.0)];
         let s = schedule(&ops, 32);
         let prof = concurrency_profile(&ops, &s);
         assert_eq!(prof.max_concurrent_streams, 1);
@@ -616,10 +597,7 @@ mod tests {
 
     #[test]
     fn profile_sees_transfer_compute_overlap() {
-        let ops = vec![
-            op(0, 0, Engine::Device, 2.0),
-            op(1, 1, Engine::Pcie, 2.0),
-        ];
+        let ops = vec![op(0, 0, Engine::Device, 2.0), op(1, 1, Engine::Pcie, 2.0)];
         let s = schedule(&ops, 32);
         let prof = concurrency_profile(&ops, &s);
         assert_eq!(prof.max_concurrent_streams, 2);

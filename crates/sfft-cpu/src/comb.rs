@@ -43,7 +43,10 @@ impl CombParams {
 pub fn comb_magnitudes(time: &[Cplx], plan_m: &Plan, tau: usize) -> Vec<f64> {
     let n = time.len();
     let m = plan_m.len();
-    assert!(m > 0 && n.is_multiple_of(m), "comb size {m} must divide n={n}");
+    assert!(
+        m > 0 && n.is_multiple_of(m),
+        "comb size {m} must divide n={n}"
+    );
     let stride = n / m;
     let mut sub: Vec<Cplx> = (0..m).map(|i| time[(tau + i * stride) % n]).collect();
     plan_m.process(&mut sub, Direction::Forward);
@@ -52,12 +55,7 @@ pub fn comb_magnitudes(time: &[Cplx], plan_m: &Plan, tau: usize) -> Vec<f64> {
 
 /// Runs the comb pre-filter and returns the residue mask: `mask[f % M]`
 /// is true when frequency `f` is still a candidate.
-pub fn comb_mask<R: Rng>(
-    time: &[Cplx],
-    k: usize,
-    comb: &CombParams,
-    rng: &mut R,
-) -> Vec<bool> {
+pub fn comb_mask<R: Rng>(time: &[Cplx], k: usize, comb: &CombParams, rng: &mut R) -> Vec<bool> {
     let n = time.len();
     let m = comb.comb_size;
     let plan = Plan::new(m);

@@ -121,10 +121,7 @@ mod tests {
         let rec = estimate(&hits, &loops, &params);
         for ((f, est), &(tf, tv)) in rec.iter().zip(&s.coords) {
             assert_eq!(*f, tf);
-            assert!(
-                est.dist(tv) < 1e-3,
-                "f={f}: estimated {est:?}, true {tv:?}"
-            );
+            assert!(est.dist(tv) < 1e-3, "f={f}: estimated {est:?}, true {tv:?}");
         }
     }
 

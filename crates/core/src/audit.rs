@@ -479,7 +479,13 @@ pub(crate) fn evaluate_slo(cfg: &SloConfig, samples: &[SloSample]) -> SloReport 
         .filter(|s| s.latency.unwrap_or(0.0) <= cfg.latency_threshold)
         .count() as u64;
 
-    let ratio = |good: u64, tot: u64| if tot == 0 { 1.0 } else { good as f64 / tot as f64 };
+    let ratio = |good: u64, tot: u64| {
+        if tot == 0 {
+            1.0
+        } else {
+            good as f64 / tot as f64
+        }
+    };
     let mut report = SloReport {
         config: cfg.clone(),
         total,
@@ -492,10 +498,18 @@ pub(crate) fn evaluate_slo(cfg: &SloConfig, samples: &[SloSample]) -> SloReport 
     };
 
     // (objective name, budget, population, bad predicate)
-    type Objective<'a> = (&'a str, f64, Vec<&'a SloSample>, &'a dyn Fn(&SloSample) -> bool);
+    type Objective<'a> = (
+        &'a str,
+        f64,
+        Vec<&'a SloSample>,
+        &'a dyn Fn(&SloSample) -> bool,
+    );
     let avail_bad = |s: &SloSample| !s.good;
-    let lat_bad =
-        |s: &SloSample| s.latency.map(|l| l > cfg.latency_threshold).unwrap_or(false);
+    let lat_bad = |s: &SloSample| {
+        s.latency
+            .map(|l| l > cfg.latency_threshold)
+            .unwrap_or(false)
+    };
     let objectives: [Objective; 2] = [
         (
             "availability",
@@ -526,8 +540,10 @@ pub(crate) fn evaluate_slo(cfg: &SloConfig, samples: &[SloSample]) -> SloReport 
             for s in &pop {
                 let now = s.ts;
                 let rate_in = |len: f64| {
-                    let in_win: Vec<&&SloSample> =
-                        pop.iter().filter(|x| x.ts >= now - len && x.ts <= now).collect();
+                    let in_win: Vec<&&SloSample> = pop
+                        .iter()
+                        .filter(|x| x.ts >= now - len && x.ts <= now)
+                        .collect();
                     if in_win.is_empty() {
                         0.0
                     } else {
@@ -670,7 +686,9 @@ mod tests {
         // latest group-scope event.
         let t = log.record(2.0, Some(9), Some(0), "terminal", vec![]);
         assert_eq!(log.events.events[t as usize].parent, Some(tr));
-        log.events.validate_forest(|e| is_root_kind(&e.name)).unwrap();
+        log.events
+            .validate_forest(|e| is_root_kind(&e.name))
+            .unwrap();
         assert_eq!(log.admission_of(3), Some(adm));
     }
 
@@ -739,9 +757,10 @@ mod tests {
         let mut log = AuditLog::new();
         log.record(0.0, Some(0), None, "admitted", vec![]);
         log.record(0.1, Some(1), None, "shed", vec![]);
-        let outcomes = [done(ServePath::Gpu, ServeQos::Full), RequestOutcome::Shed {
-            queue_depth: 7,
-        }];
+        let outcomes = [
+            done(ServePath::Gpu, ServeQos::Full),
+            RequestOutcome::Shed { queue_depth: 7 },
+        ];
         let report = finalize_audit(
             log,
             &outcomes,

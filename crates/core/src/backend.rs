@@ -74,7 +74,11 @@ pub enum BackendKind {
 impl BackendKind {
     /// Every kind, in registry-slot order.
     pub fn all() -> [BackendKind; 3] {
-        [BackendKind::GpuSim, BackendKind::SfftCpu, BackendKind::DenseFft]
+        [
+            BackendKind::GpuSim,
+            BackendKind::SfftCpu,
+            BackendKind::DenseFft,
+        ]
     }
 
     /// Stable label used as a telemetry dimension (`backend:<kind>`).
@@ -331,7 +335,12 @@ impl ExecutePlan for CusFft {
         prep: &PreparedState,
         streams: &ExecStreams,
     ) -> Result<(Recovered, usize), CusFftError> {
-        CusFft::finish(self, device, &prep.downcast_ref::<GpuPrepared>().prep, streams)
+        CusFft::finish(
+            self,
+            device,
+            &prep.downcast_ref::<GpuPrepared>().prep,
+            streams,
+        )
     }
 
     fn warm(
@@ -366,20 +375,14 @@ impl ExecutePlan for CusFft {
         let computed: Vec<Result<ComputedRequest, CusFftError>> = preps
             .iter()
             .map(|p| {
-                CusFft::finish_compute(
-                    self,
-                    device,
-                    &p.downcast_ref::<GpuPrepared>().prep,
-                    streams,
-                )
+                CusFft::finish_compute(self, device, &p.downcast_ref::<GpuPrepared>().prep, streams)
             })
             .collect();
         // Per-constituent buffers through a grouped transfer: PCIe is
         // charged once for the aggregate, but fault/corruption gates
         // roll per request — batching must not launder SDC exposure.
         let survivors: Vec<&ComputedRequest> = computed.iter().flatten().collect();
-        let hits_bufs: Vec<&DeviceBuffer<u32>> =
-            survivors.iter().map(|fc| &fc.hits_buf).collect();
+        let hits_bufs: Vec<&DeviceBuffer<u32>> = survivors.iter().map(|fc| &fc.hits_buf).collect();
         let vals_bufs: Vec<DeviceBuffer<Cplx>> = survivors
             .iter()
             .map(|fc| DeviceBuffer::from_host(&fc.vals))
@@ -528,11 +531,9 @@ impl ExecutePlan for CpuPlan {
         // One infallible host marker keeps the execution visible on the
         // merged timeline without rolling any fault gates.
         device.charge_host_op("sfft_cpu", 0.0, streams.main);
-        Ok(PreparedState::new(HostRecovered(SfftCpuBackend::reference(
-            &self.params,
-            time,
-            seed,
-        ))))
+        Ok(PreparedState::new(HostRecovered(
+            SfftCpuBackend::reference(&self.params, time, seed),
+        )))
     }
 
     fn run_batched_ffts(

@@ -147,14 +147,13 @@ impl ChaosSchedule {
                     }
                 }
                 "device_loss" => {
-                    s.device_loss = match val {
-                        cusfft_telemetry::JsonValue::Null => None,
-                        other => Some(
-                            other
-                                .as_f64()
-                                .ok_or_else(|| bad("field 'device_loss' must be a number".into()))?,
-                        ),
-                    }
+                    s.device_loss =
+                        match val {
+                            cusfft_telemetry::JsonValue::Null => None,
+                            other => Some(other.as_f64().ok_or_else(|| {
+                                bad("field 'device_loss' must be a number".into())
+                            })?),
+                        }
                 }
                 "rates" => {
                     let pairs = val
@@ -390,12 +389,13 @@ pub fn check_outcome_bijection(submitted: usize, report: &ServeReport) -> Result
     for g in &report.group_info {
         for &idx in &g.indices {
             if idx >= submitted {
-                return Err(format!("group {} references request {idx} out of range", g.gid));
+                return Err(format!(
+                    "group {} references request {idx} out of range",
+                    g.gid
+                ));
             }
             if seen[idx] {
-                return Err(format!(
-                    "request {idx} appears in more than one plan group"
-                ));
+                return Err(format!("request {idx} appears in more than one plan group"));
             }
             seen[idx] = true;
         }
@@ -410,10 +410,12 @@ fn oracle_deviation(req: &ServeRequest, recovered: &[(usize, fft::cplx::Cplx)]) 
     recovered
         .iter()
         .map(|&(f, c)| {
-            let d = dense[f] ;
+            let d = dense[f];
             ((c.re - d.re).powi(2) + (c.im - d.im).powi(2)).sqrt()
         })
-        .fold(None, |acc: Option<f64>, d| Some(acc.map_or(d, |a| a.max(d))))
+        .fold(None, |acc: Option<f64>, d| {
+            Some(acc.map_or(d, |a| a.max(d)))
+        })
 }
 
 fn check_oracle(
@@ -607,9 +609,8 @@ fn run_engine_schedule(
     checked: &mut u64,
     recovery_overhead: &mut Option<f64>,
 ) {
-    let engine = |workers: usize| {
-        ServeEngine::new(DeviceSpec::tesla_k20x(), serve_config(s, workers))
-    };
+    let engine =
+        |workers: usize| ServeEngine::new(DeviceSpec::tesla_k20x(), serve_config(s, workers));
     let opts = JournalOptions {
         epoch_groups: s.epoch_groups,
         crash: CrashPlan::never(),
@@ -698,14 +699,16 @@ fn run_engine_schedule(
                     // including the ones it restored from the journal.
                     check_audit(requests.len(), &resumed, violations, checked);
                     if base.makespan > 0.0 {
-                        *recovery_overhead = Some(
-                            (crash.wasted_makespan + resumed.makespan) / base.makespan - 1.0,
-                        );
+                        *recovery_overhead =
+                            Some((crash.wasted_makespan + resumed.makespan) / base.makespan - 1.0);
                     }
                 }
                 Ok(JournalRun::Crashed(c)) => {
                     violations.push(InvariantViolation::JournalFault {
-                        detail: format!("resume crashed at epoch {} without an armed plan", c.epoch),
+                        detail: format!(
+                            "resume crashed at epoch {} without an armed plan",
+                            c.epoch
+                        ),
                     });
                 }
                 Err(e) => {
@@ -882,11 +885,13 @@ pub fn explore(space: &ChaosSpace) -> ChaosReport {
             let minimal_outcome = run_schedule(&minimal);
             // Keep the minimal schedule's violations when the shrink
             // preserved them; otherwise report the original.
-            report.violations.push(if minimal_outcome.violations.is_empty() {
-                outcome
-            } else {
-                minimal_outcome
-            });
+            report
+                .violations
+                .push(if minimal_outcome.violations.is_empty() {
+                    outcome
+                } else {
+                    minimal_outcome
+                });
         }
     }
     if report.crash_runs > 0 {
@@ -978,8 +983,8 @@ mod tests {
             ..ChaosSchedule::default()
         };
         let requests = build_requests(&s);
-        let engine = ServeEngine::new(DeviceSpec::tesla_k20x(), serve_config(&s, 1))
-            .expect("valid config");
+        let engine =
+            ServeEngine::new(DeviceSpec::tesla_k20x(), serve_config(&s, 1)).expect("valid config");
         let report = engine.serve_batch(&requests);
         assert!(check_outcome_bijection(requests.len(), &report).is_ok());
         assert!(check_outcome_bijection(requests.len() + 1, &report).is_err());

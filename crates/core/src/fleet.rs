@@ -682,8 +682,12 @@ impl DeviceFleet {
                 if lost[m] || f.device_loss_rate <= 0.0 {
                     continue;
                 }
-                if fault_roll(f.seed, member_salt(m), epoch_idx as u64, FaultClass::DeviceLoss)
-                    < f.device_loss_rate
+                if fault_roll(
+                    f.seed,
+                    member_salt(m),
+                    epoch_idx as u64,
+                    FaultClass::DeviceLoss,
+                ) < f.device_loss_rate
                 {
                     lost[m] = true;
                     fleet_tally.device_losses += 1;
@@ -793,9 +797,8 @@ impl DeviceFleet {
                 let faulted = run.run.tally.injected > 0;
                 breakers[m].observe(p.gid, faulted);
                 let t = &run.run.tally;
-                let severity = ((t.injected + t.retries + t.cpu_fallbacks + t.failed) as f64
-                    / 8.0)
-                    .min(1.0);
+                let severity =
+                    ((t.injected + t.retries + t.cpu_fallbacks + t.failed) as f64 / 8.0).min(1.0);
                 health[m] = 0.75 * health[m] + 0.25 * (1.0 - severity);
                 member_groups[m] += 1;
                 member_clock[m] += run.duration;
@@ -877,8 +880,11 @@ impl DeviceFleet {
                         trips_baseline[m] = breakers[m].trips();
                         if drained[m] {
                             drained[m] = false;
-                            control
-                                .charge_host_op(&format!("fleet:recover:m{m}"), 0.0, DEFAULT_STREAM);
+                            control.charge_host_op(
+                                &format!("fleet:recover:m{m}"),
+                                0.0,
+                                DEFAULT_STREAM,
+                            );
                             if let Some(a) = alog.as_mut() {
                                 a.record(
                                     completion,
@@ -1023,7 +1029,9 @@ mod tests {
     #[test]
     fn empty_fleet_is_rejected_typed() {
         let err = DeviceFleet::new(FleetConfig::default(), ServeConfig::default()).unwrap_err();
-        assert!(matches!(err, CusFftError::BadConfig { ref reason } if reason.contains("no members")));
+        assert!(
+            matches!(err, CusFftError::BadConfig { ref reason } if reason.contains("no members"))
+        );
     }
 
     #[test]
@@ -1031,7 +1039,9 @@ mod tests {
         let mut fleet = FleetConfig::homogeneous(2);
         fleet.members[1].spec.global_mem_bytes = 0;
         let err = DeviceFleet::new(fleet, ServeConfig::default()).unwrap_err();
-        assert!(matches!(err, CusFftError::BadConfig { ref reason } if reason.contains("member 1")));
+        assert!(
+            matches!(err, CusFftError::BadConfig { ref reason } if reason.contains("member 1"))
+        );
     }
 
     #[test]
@@ -1060,8 +1070,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_fleet_serves_and_reports_members() {
-        let fleet =
-            DeviceFleet::new(FleetConfig::heterogeneous(), ServeConfig::default()).unwrap();
+        let fleet = DeviceFleet::new(FleetConfig::heterogeneous(), ServeConfig::default()).unwrap();
         let reqs: Vec<ServeRequest> = (0..6)
             .map(|i| {
                 let n = if i % 2 == 0 { 1 << 10 } else { 1 << 11 };
@@ -1098,8 +1107,7 @@ mod tests {
             .collect();
         let serve_with = |workers: usize| {
             let mut fleet_cfg = FleetConfig::heterogeneous();
-            fleet_cfg.members[0].faults =
-                Some(FaultConfig::uniform(9, 0.2).with_device_loss(1.0));
+            fleet_cfg.members[0].faults = Some(FaultConfig::uniform(9, 0.2).with_device_loss(1.0));
             let fleet = DeviceFleet::new(
                 fleet_cfg,
                 ServeConfig {

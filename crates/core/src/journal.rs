@@ -145,10 +145,14 @@ impl<'a> Dec<'a> {
         Ok(self.bytes(1)?[0])
     }
     fn u32(&mut self) -> Result<u32, CusFftError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.bytes(4)?.try_into().expect("4 bytes"),
+        ))
     }
     fn u64(&mut self) -> Result<u64, CusFftError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.bytes(8)?.try_into().expect("8 bytes"),
+        ))
     }
     fn f64(&mut self) -> Result<f64, CusFftError> {
         Ok(f64::from_bits(self.u64()?))
@@ -1087,7 +1091,10 @@ mod tests {
         j.flush();
         let bytes = j.buf.clone();
         let back = Journal::from_bytes(&bytes).expect("valid journal");
-        assert_eq!(back.durable_records().unwrap(), j.durable_records().unwrap());
+        assert_eq!(
+            back.durable_records().unwrap(),
+            j.durable_records().unwrap()
+        );
 
         assert!(matches!(
             Journal::from_bytes(b"nope"),

@@ -180,7 +180,12 @@ pub fn metrics_registry(report: &ServeReport) -> Registry {
             ("standby_acquire", fl.standby_acquires),
             ("standby_exhausted", fl.standby_exhausted),
         ] {
-            r.counter_add("cusfft_fleet_events_total", fleet_help, &[("kind", kind)], value);
+            r.counter_add(
+                "cusfft_fleet_events_total",
+                fleet_help,
+                &[("kind", kind)],
+                value,
+            );
         }
         for d in &report.devices {
             let device = format!("{}/{}", d.id, d.spec_name);
@@ -295,7 +300,12 @@ pub fn metrics_registry(report: &ServeReport) -> Registry {
 
     // Plan cache.
     let cache_help = "Plan cache counters";
-    r.counter_add("cusfft_plan_cache_hits_total", cache_help, &[], report.cache.hits);
+    r.counter_add(
+        "cusfft_plan_cache_hits_total",
+        cache_help,
+        &[],
+        report.cache.hits,
+    );
     r.counter_add(
         "cusfft_plan_cache_misses_total",
         cache_help,
@@ -331,7 +341,12 @@ pub fn metrics_registry(report: &ServeReport) -> Registry {
     // Recovery tallies.
     let rec_help = "Fault-recovery actions";
     let f = &report.faults;
-    r.counter_add("cusfft_recovery_total", rec_help, &[("kind", "retry")], f.retries);
+    r.counter_add(
+        "cusfft_recovery_total",
+        rec_help,
+        &[("kind", "retry")],
+        f.retries,
+    );
     r.counter_add(
         "cusfft_recovery_total",
         rec_help,
@@ -388,8 +403,18 @@ pub fn metrics_registry(report: &ServeReport) -> Registry {
 
     // Overload admission.
     let adm_help = "Admission decisions";
-    r.counter_add("cusfft_admission_total", adm_help, &[("decision", "admitted")], ov.admitted);
-    r.counter_add("cusfft_admission_total", adm_help, &[("decision", "shed")], ov.shed);
+    r.counter_add(
+        "cusfft_admission_total",
+        adm_help,
+        &[("decision", "admitted")],
+        ov.admitted,
+    );
+    r.counter_add(
+        "cusfft_admission_total",
+        adm_help,
+        &[("decision", "shed")],
+        ov.shed,
+    );
     r.counter_add(
         "cusfft_admission_total",
         adm_help,
@@ -402,7 +427,12 @@ pub fn metrics_registry(report: &ServeReport) -> Registry {
         &[],
         ov.degraded,
     );
-    r.counter_add("cusfft_hedges_total", "Straggler hedges launched", &[], ov.hedges);
+    r.counter_add(
+        "cusfft_hedges_total",
+        "Straggler hedges launched",
+        &[],
+        ov.hedges,
+    );
     r.counter_add(
         "cusfft_hedge_wins_total",
         "Hedged duplicates that beat their primary",

@@ -652,7 +652,10 @@ mod tests {
         assert_eq!(s.p99, 4.0);
         assert_eq!(s.max, 4.0);
         assert!((s.mean - 2.5).abs() < 1e-12);
-        assert_eq!(LatencyStats::from_latencies(vec![]), LatencyStats::default());
+        assert_eq!(
+            LatencyStats::from_latencies(vec![]),
+            LatencyStats::default()
+        );
     }
 
     #[test]
@@ -663,10 +666,12 @@ mod tests {
         let small = est(&SfftParams::tuned(1 << 10, 4));
         let large = est(&SfftParams::tuned(1 << 14, 4));
         assert!(small > 0.0);
-        assert!(large > small, "bigger n must price higher: {large} vs {small}");
+        assert!(
+            large > small,
+            "bigger n must price higher: {large} vs {small}"
+        );
         let full = SfftParams::tuned(1 << 12, 8);
-        let degraded =
-            SfftParams::with_tuning(1 << 12, 8, sfft_cpu::Tuning::default().degraded());
+        let degraded = SfftParams::with_tuning(1 << 12, 8, sfft_cpu::Tuning::default().degraded());
         assert!(
             est(&degraded) < est(&full),
             "degraded plans must price cheaper"

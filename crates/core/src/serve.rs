@@ -628,7 +628,8 @@ mod tests {
                 cache_capacity: 8,
                 ..ServeConfig::default()
             },
-        ).unwrap();
+        )
+        .unwrap();
         let reqs = vec![
             request(1 << 10, 4, Variant::Optimized, 1, 11),
             request(1 << 11, 4, Variant::Optimized, 2, 22),
@@ -662,7 +663,8 @@ mod tests {
                 cache_capacity: 8,
                 ..ServeConfig::default()
             },
-        ).unwrap()
+        )
+        .unwrap()
         .serve_batch(&reqs)
         .makespan;
         let two = ServeEngine::new(
@@ -672,7 +674,8 @@ mod tests {
                 cache_capacity: 8,
                 ..ServeConfig::default()
             },
-        ).unwrap()
+        )
+        .unwrap()
         .serve_batch(&reqs)
         .makespan;
         assert!(
@@ -694,7 +697,8 @@ mod tests {
                 cache_capacity: 8,
                 ..ServeConfig::default()
             },
-        ).unwrap();
+        )
+        .unwrap();
         // Alternate geometries so consecutive requests land in different
         // groups (and hence workers).
         let reqs: Vec<ServeRequest> = (0..6)
@@ -728,7 +732,12 @@ mod tests {
             // Non-power-of-two length: the plan constructor would panic.
             ServeRequest::new(vec![fft::cplx::ZERO; 1000], 4, Variant::Optimized, 1),
             // k out of range for n.
-            ServeRequest::new(vec![fft::cplx::ZERO; 1 << 10], 1 << 10, Variant::Optimized, 1),
+            ServeRequest::new(
+                vec![fft::cplx::ZERO; 1 << 10],
+                1 << 10,
+                Variant::Optimized,
+                1,
+            ),
         ];
         let report = engine.serve_batch(&reqs);
         assert!(report.outcomes[0].response().is_some());
@@ -750,7 +759,8 @@ mod tests {
                 faults: Some(FaultConfig::persistent(3)),
                 ..ServeConfig::default()
             },
-        ).unwrap();
+        )
+        .unwrap();
         let reqs: Vec<ServeRequest> = (0..4)
             .map(|i| request(1 << 10, 4, Variant::Optimized, i, 100 + i))
             .collect();
@@ -777,7 +787,8 @@ mod tests {
                 cpu_fallback: false,
                 ..ServeConfig::default()
             },
-        ).unwrap();
+        )
+        .unwrap();
         let reqs = vec![request(1 << 10, 4, Variant::Optimized, 1, 11)];
         let report = engine.serve_batch(&reqs);
         match report.outcomes[0].error() {
@@ -812,11 +823,9 @@ mod tests {
     fn unregistered_backend_fails_typed() {
         let mut registry = BackendRegistry::empty();
         registry.register(Arc::new(crate::backend::GpuSimBackend::default()));
-        let engine = ServeEngine::with_registry(
-            DeviceSpec::tesla_k20x(),
-            ServeConfig::default(),
-            registry,
-        ).unwrap();
+        let engine =
+            ServeEngine::with_registry(DeviceSpec::tesla_k20x(), ServeConfig::default(), registry)
+                .unwrap();
         let reqs = vec![
             request(1 << 10, 4, Variant::Optimized, 1, 11),
             request(1 << 10, 4, Variant::Optimized, 2, 12).with_backend(BackendKind::DenseFft),
@@ -825,7 +834,10 @@ mod tests {
         assert!(report.outcomes[0].response().is_some());
         match report.outcomes[1].error() {
             Some(CusFftError::BadRequest { reason }) => {
-                assert!(reason.contains("dense_fft"), "reason names the backend: {reason}");
+                assert!(
+                    reason.contains("dense_fft"),
+                    "reason names the backend: {reason}"
+                );
             }
             other => panic!("expected BadRequest, got {other:?}"),
         }

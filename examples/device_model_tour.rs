@@ -73,16 +73,16 @@ fn main() -> Result<(), GpuError> {
     print!("{}", device.profile_report());
     let records = device.records();
     let coal = records.iter().find(|r| r.name == "saxpy").unwrap();
-    let scat = records.iter().find(|r| r.name == "saxpy_scattered").unwrap();
+    let scat = records
+        .iter()
+        .find(|r| r.name == "saxpy_scattered")
+        .unwrap();
     println!(
         "scatter cost amplification: {:.1}x time, {:.1}x DRAM bytes",
         scat.cost.total / coal.cost.total,
         scat.stats.dram_bytes / coal.stats.dram_bytes
     );
-    println!(
-        "total simulated elapsed: {:.3} ms",
-        device.elapsed() * 1e3
-    );
+    println!("total simulated elapsed: {:.3} ms", device.elapsed() * 1e3);
 
     assert!(scat.cost.total > coal.cost.total);
     Ok(())

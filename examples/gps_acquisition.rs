@@ -26,7 +26,9 @@ use signal::add_awgn;
 /// Generates a ±1 PRN spreading sequence of length `n` from a seed.
 fn prn_code(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }).collect()
+    (0..n)
+        .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
+        .collect()
 }
 
 fn main() {
@@ -35,7 +37,10 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
 
     println!("GPS acquisition: {satellites} satellites, n = {n} samples each");
-    println!("{:>5} {:>12} {:>12} {:>9}", "sat", "true doppler", "estimated", "status");
+    println!(
+        "{:>5} {:>12} {:>12} {:>9}",
+        "sat", "true doppler", "estimated", "status"
+    );
 
     let params = Arc::new(SfftParams::tuned(n, 4));
     let device = Arc::new(GpuDevice::k20x());
@@ -50,8 +55,10 @@ fn main() {
         let doppler = rng.gen_range(0..n);
         let mut rx: Vec<Cplx> = (0..n)
             .map(|t| {
-                let carrier =
-                    Cplx::cis(std::f64::consts::TAU * (doppler as u64 * t as u64 % n as u64) as f64 / n as f64);
+                let carrier = Cplx::cis(
+                    std::f64::consts::TAU * (doppler as u64 * t as u64 % n as u64) as f64
+                        / n as f64,
+                );
                 carrier.scale(code[t])
             })
             .collect();

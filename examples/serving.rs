@@ -39,7 +39,8 @@ fn main() {
             cache_capacity: 8,
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid");
+    )
+    .expect("serve config is valid");
 
     // First batch: every geometry misses once, then hits.
     let report = engine.serve_batch(&requests);
@@ -66,7 +67,8 @@ fn main() {
             faults: Some(FaultConfig::uniform(42, 0.002)),
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid");
+    )
+    .expect("serve config is valid");
     let report3 = flaky.serve_batch(&requests);
     println!("\nsame batch, 0.2% fault rate on every device op:");
     print_report(&report3);
@@ -75,12 +77,7 @@ fn main() {
         "  faults: {} injected, {} evictions, {} retries, {} cpu fallbacks, {} failed",
         t.injected, t.evictions, t.retries, t.cpu_fallbacks, t.failed
     );
-    let count = |p: ServePath| {
-        report3
-            .responses()
-            .filter(|r| r.path == p)
-            .count()
-    };
+    let count = |p: ServePath| report3.responses().filter(|r| r.path == p).count();
     println!(
         "  paths: {} gpu, {} gpu-after-retry, {} cpu",
         count(ServePath::Gpu),
@@ -136,9 +133,7 @@ fn main() {
             RequestOutcome::DeadlineExceeded { .. } => missed += 1,
         }
     }
-    println!(
-        "  outcomes: {done} done, {failed} failed, {shed} shed, {missed} past-deadline"
-    );
+    println!("  outcomes: {done} done, {failed} failed, {shed} shed, {missed} past-deadline");
     let degraded = report4
         .responses()
         .filter(|r| r.qos == ServeQos::Degraded)

@@ -50,7 +50,8 @@ fn main() {
             faults: Some(FaultConfig::uniform(42, 0.01).with_sdc(0.02)),
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid");
+    )
+    .expect("serve config is valid");
     let report = engine.serve_overload(&trace, &policy);
     println!(
         "served {} requests: {} admitted, {} shed, {} past-deadline, {} faults injected",

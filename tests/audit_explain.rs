@@ -79,7 +79,10 @@ fn assert_complete_chains(report: &ServeReport, what: &str) {
     for (r, outcome) in report.outcomes.iter().enumerate() {
         let chain = explain(report, r)
             .unwrap_or_else(|| panic!("{what}: request {r} has no decision chain"));
-        assert!(!chain.events.is_empty(), "{what}: request {r} chain is empty");
+        assert!(
+            !chain.events.is_empty(),
+            "{what}: request {r} chain is empty"
+        );
         assert!(
             is_root_kind(&chain.events[0].name),
             "{what}: request {r} chain starts at {:?}, not an admission root",
@@ -166,8 +169,9 @@ fn artifacts_bit_identical_across_workers_pools_and_seeds() {
         let policy = overload_policy(10);
 
         let batch_ref = with_pool(1, || audit_fingerprint(&engine(1, seed).serve_batch(&reqs)));
-        let over_ref =
-            with_pool(1, || audit_fingerprint(&engine(1, seed).serve_overload(&trace, &policy)));
+        let over_ref = with_pool(1, || {
+            audit_fingerprint(&engine(1, seed).serve_overload(&trace, &policy))
+        });
         let fleet_ref = with_pool(1, || audit_fingerprint(&lossy_fleet(1, seed).serve(&reqs)));
 
         for workers in [1usize, 2, 4] {
@@ -238,7 +242,10 @@ request 1: 3 decision events
   #2 [0] group_placed(gid=1) members=1 n=2048 k=8 qos=full backend=gpu_sim <- #0
   #4 [1] terminal(request=1, gid=1) outcome=done cause=done:gpu <- #2
 ";
-    assert_eq!(rendered, golden, "explain text drifted from the golden snapshot");
+    assert_eq!(
+        rendered, golden,
+        "explain text drifted from the golden snapshot"
+    );
 }
 
 proptest! {

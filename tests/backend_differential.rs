@@ -83,8 +83,7 @@ fn requests_for(cases: &[Case], backend: BackendKind) -> Vec<ServeRequest> {
     cases
         .iter()
         .map(|c| {
-            ServeRequest::new(c.time.clone(), c.k, Variant::Optimized, c.seed)
-                .with_backend(backend)
+            ServeRequest::new(c.time.clone(), c.k, Variant::Optimized, c.seed).with_backend(backend)
         })
         .collect()
 }
@@ -99,7 +98,8 @@ fn serve(reqs: &[ServeRequest], workers: usize, faults: Option<FaultConfig>) -> 
             faults,
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid");
+    )
+    .expect("serve config is valid");
     engine.serve_batch(reqs)
 }
 
@@ -187,7 +187,8 @@ fn served_spectra_are_bit_identical_to_direct_execution() {
             let direct = execute_direct(plan.as_ref(), &spec, &req.time, req.seed)
                 .unwrap_or_else(|e| panic!("{}: direct execution of {i}: {e}", kind.label()));
             assert_eq!(
-                resp.recovered, direct,
+                resp.recovered,
+                direct,
                 "{}: request {i} served vs direct spectra",
                 kind.label()
             );
@@ -402,7 +403,10 @@ fn faulty_serving_is_worker_invariant_and_gpu_paths_match_fault_free() {
             );
         } else {
             assert_eq!(f.backend, BackendKind::GpuSim, "request {i}");
-            assert_eq!(c.recovered, f.recovered, "request {i}: recovery is invisible");
+            assert_eq!(
+                c.recovered, f.recovered,
+                "request {i}: recovery is invisible"
+            );
         }
     }
     for workers in [2usize, 4] {

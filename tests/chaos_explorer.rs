@@ -81,7 +81,10 @@ fn crash_schedule_measures_recovery_overhead() {
         .recovery_overhead
         .expect("a crash schedule measures recovery overhead");
     assert!(overhead.is_finite());
-    assert!(overhead > -0.5, "overhead {overhead} is implausibly negative");
+    assert!(
+        overhead > -0.5,
+        "overhead {overhead} is implausibly negative"
+    );
 }
 
 /// Every schedule in the smoke space replays exactly through its JSON

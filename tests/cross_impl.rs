@@ -34,9 +34,13 @@ fn gpu_variants_agree_with_each_other() {
     let (n, k) = (1 << 13, 16);
     let params = Arc::new(SfftParams::tuned(n, k));
     let s = SparseSignal::generate(n, k, MagnitudeModel::Unit, 9);
-    let base = CusFft::new(Arc::new(GpuDevice::k20x()), params.clone(), Variant::Baseline)
-        .execute(&s.time, 42)
-        .recovered;
+    let base = CusFft::new(
+        Arc::new(GpuDevice::k20x()),
+        params.clone(),
+        Variant::Baseline,
+    )
+    .execute(&s.time, 42)
+    .recovered;
     let opt = CusFft::new(Arc::new(GpuDevice::k20x()), params, Variant::Optimized)
         .execute(&s.time, 42)
         .recovered;

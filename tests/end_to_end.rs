@@ -17,9 +17,13 @@ fn run_all(n: usize, k: usize, signal: &[fft::Cplx], seed: u64) -> [Recovered; 4
     let params = Arc::new(SfftParams::tuned(n, k));
     let serial = sfft(&params, signal, seed);
     let parallel = psfft(&params, signal, seed);
-    let base = CusFft::new(Arc::new(GpuDevice::k20x()), params.clone(), Variant::Baseline)
-        .execute(signal, seed)
-        .recovered;
+    let base = CusFft::new(
+        Arc::new(GpuDevice::k20x()),
+        params.clone(),
+        Variant::Baseline,
+    )
+    .execute(signal, seed)
+    .recovered;
     let opt = CusFft::new(Arc::new(GpuDevice::k20x()), params, Variant::Optimized)
         .execute(signal, seed)
         .recovered;
@@ -66,10 +70,7 @@ fn robust_to_moderate_noise() {
         // Large coefficients still accurate to ~the noise floor.
         for &(f, v) in &s.coords {
             if let Some(&(_, est)) = rec.iter().find(|&&(g, _)| g == f) {
-                assert!(
-                    est.dist(v) < 0.15,
-                    "impl {i}, f={f}: {est:?} vs {v:?}"
-                );
+                assert!(est.dist(v) < 0.15, "impl {i}, f={f}: {est:?} vs {v:?}");
             }
         }
     }
@@ -106,9 +107,13 @@ fn clustered_support_degrades_gracefully() {
     let params = Arc::new(SfftParams::tuned(n, k));
 
     let loose = clustered_signal(n, k, 2, 5);
-    let rec_loose = CusFft::new(Arc::new(GpuDevice::k20x()), params.clone(), Variant::Optimized)
-        .execute(&loose.time, 3)
-        .recovered;
+    let rec_loose = CusFft::new(
+        Arc::new(GpuDevice::k20x()),
+        params.clone(),
+        Variant::Optimized,
+    )
+    .execute(&loose.time, 3)
+    .recovered;
     assert!(
         support_recall(&loose.coords, &rec_loose) > 0.9,
         "pairs of adjacent coefficients should mostly survive"

@@ -21,7 +21,9 @@
 //! The fault seed honours `CUSFFT_FAULT_SEED` so CI can sweep a matrix of
 //! seeds over the same assertions.
 
-use cusfft::{BackendKind, ServeConfig, ServeEngine, ServePath, ServeReport, ServeRequest, Variant};
+use cusfft::{
+    BackendKind, ServeConfig, ServeEngine, ServePath, ServeReport, ServeRequest, Variant,
+};
 use gpu_sim::{DeviceSpec, FaultConfig, GpuDevice, GpuError, DEFAULT_STREAM};
 use proptest::prelude::*;
 use signal::{MagnitudeModel, SparseSignal};
@@ -59,7 +61,8 @@ fn engine(workers: usize, faults: Option<FaultConfig>) -> ServeEngine {
             faults,
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid")
+    )
+    .expect("serve config is valid")
 }
 
 /// Runs `f` on a dedicated host pool of the given width (the same
@@ -174,7 +177,10 @@ fn persistent_faults_reroute_batch_to_cpu_backend() {
             BackendKind::SfftCpu,
             "request {i} must report the backend that actually served it"
         );
-        assert!(!resp.recovered.is_empty(), "request {i} recovered a spectrum");
+        assert!(
+            !resp.recovered.is_empty(),
+            "request {i} recovered a spectrum"
+        );
         let direct = cpu_direct.outcomes[i]
             .response()
             .expect("explicit CPU-backend serving completes");
@@ -210,7 +216,9 @@ fn injected_faults_are_visible_on_the_timeline() {
     device.install_fault_plan(FaultConfig::persistent(fault_seed()));
     let host = vec![0.0f64; 1024];
     assert!(device.try_htod(&host, DEFAULT_STREAM).is_err());
-    assert!(device.try_charge_device_op("k", 1e-6, DEFAULT_STREAM).is_err());
+    assert!(device
+        .try_charge_device_op("k", 1e-6, DEFAULT_STREAM)
+        .is_err());
     let fault_ops = device
         .ops()
         .iter()
@@ -308,7 +316,12 @@ fn failed_attempt_counts_are_pinned_per_path() {
 
     let mut reqs = batch(6);
     // One malformed request (k = 0) that fails validation, never runs.
-    reqs.push(ServeRequest::new(reqs[0].time.clone(), 0, Variant::Optimized, 99));
+    reqs.push(ServeRequest::new(
+        reqs[0].time.clone(),
+        0,
+        Variant::Optimized,
+        99,
+    ));
     let fc = FaultConfig::persistent(fault_seed());
     let max_retries = 3u32;
     let config = |workers| ServeConfig {

@@ -24,8 +24,8 @@
 //! The fault seed honours `CUSFFT_FAULT_SEED` so CI can sweep seeds.
 
 use cusfft::{
-    observe, CusFftError, DeviceFleet, FleetConfig, ServeConfig, ServePath, ServeQos,
-    ServeReport, ServeRequest, Variant,
+    observe, CusFftError, DeviceFleet, FleetConfig, ServeConfig, ServePath, ServeQos, ServeReport,
+    ServeRequest, Variant,
 };
 use gpu_sim::{BreakerConfig, FaultConfig};
 use signal::{MagnitudeModel, SparseSignal};
@@ -90,8 +90,7 @@ fn assert_same_report(a: &ServeReport, b: &ServeReport, what: &str) {
 /// at member 0 — the stress topology the determinism matrix runs.
 fn lossy_fleet(workers: usize) -> DeviceFleet {
     let mut fleet = FleetConfig::heterogeneous();
-    fleet.members[0].faults =
-        Some(FaultConfig::uniform(fault_seed(), 0.2).with_device_loss(1.0));
+    fleet.members[0].faults = Some(FaultConfig::uniform(fault_seed(), 0.2).with_device_loss(1.0));
     fleet.members[2].faults = Some(FaultConfig::uniform(fault_seed().wrapping_add(1), 0.1));
     DeviceFleet::new(
         fleet,
@@ -112,7 +111,10 @@ fn fleet_report_bit_identical_across_workers_and_pool_widths() {
         reference.outcomes.iter().all(|o| o.response().is_some()),
         "sanity: the stress batch completes"
     );
-    assert!(reference.fleet.device_losses >= 1, "sanity: member 0 went dark");
+    assert!(
+        reference.fleet.device_losses >= 1,
+        "sanity: member 0 went dark"
+    );
     for workers in [1usize, 2, 4] {
         for pool in [1usize, 8] {
             let report = with_pool(pool, || lossy_fleet(workers).serve(&reqs));
@@ -156,8 +158,7 @@ fn failover_rides_standby_slabs_with_no_extra_pool_traffic() {
     // Member 0 goes dark at epoch 0; member 1 absorbs its placements
     // through the pre-reserved standby slots.
     let mut cfg = FleetConfig::homogeneous(2);
-    cfg.members[0].faults =
-        Some(FaultConfig::uniform(fault_seed(), 0.0).with_device_loss(1.0));
+    cfg.members[0].faults = Some(FaultConfig::uniform(fault_seed(), 0.0).with_device_loss(1.0));
     let fleet = DeviceFleet::new(cfg, ServeConfig::default()).expect("fleet config is valid");
     let before = fleet.pool_traffic();
     let report = fleet.serve(&batch(8));
@@ -212,7 +213,10 @@ fn tripped_member_drains_probes_and_the_fleet_keeps_serving() {
         "quarantine must be probed after its cooldown"
     );
     assert!(report.devices[0].trips >= 1);
-    assert!(report.devices[0].drained, "persistent faults keep member 0 out");
+    assert!(
+        report.devices[0].drained,
+        "persistent faults keep member 0 out"
+    );
     assert!(!report.devices[1].drained);
     assert!(
         report.devices[1].groups > 0,
@@ -227,8 +231,7 @@ fn capacity_collapse_degrades_qos_instead_of_shedding() {
     // brownout fraction, so later epochs re-key full-QoS groups to
     // Degraded plans rather than dropping them.
     let mut cfg = FleetConfig::heterogeneous();
-    cfg.members[0].faults =
-        Some(FaultConfig::uniform(fault_seed(), 0.0).with_device_loss(1.0));
+    cfg.members[0].faults = Some(FaultConfig::uniform(fault_seed(), 0.0).with_device_loss(1.0));
     cfg.members[1].faults =
         Some(FaultConfig::uniform(fault_seed().wrapping_add(9), 0.0).with_device_loss(1.0));
     cfg.epoch_groups = 1;

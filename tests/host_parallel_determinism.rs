@@ -55,11 +55,7 @@ fn run_once(variant: Variant, log2_n: u32, k: usize, seed: u64) -> RunFingerprin
     let n = 1usize << log2_n;
     let s = SparseSignal::generate(n, k, MagnitudeModel::Unit, seed);
     let device = Arc::new(GpuDevice::new(DeviceSpec::tesla_k20x()));
-    let plan = CusFft::new(
-        device.clone(),
-        Arc::new(SfftParams::tuned(n, k)),
-        variant,
-    );
+    let plan = CusFft::new(device.clone(), Arc::new(SfftParams::tuned(n, k)), variant);
     let out = plan.execute(&s.time, seed);
     RunFingerprint {
         recovered: out.recovered,
@@ -68,7 +64,12 @@ fn run_once(variant: Variant, log2_n: u32, k: usize, seed: u64) -> RunFingerprin
         records: device
             .records()
             .iter()
-            .map(|r| format!("{:?} {:?} {:?} {:?} {}", r.name, r.stats, r.cost, r.stream, r.bound))
+            .map(|r| {
+                format!(
+                    "{:?} {:?} {:?} {:?} {}",
+                    r.name, r.stats, r.cost, r.stream, r.bound
+                )
+            })
             .collect(),
         ops: device.ops().iter().map(|o| format!("{o:?}")).collect(),
     }
@@ -87,7 +88,10 @@ fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 fn pipeline_outputs_identical_across_pool_sizes() {
     for variant in [Variant::Baseline, Variant::Optimized] {
         let reference = with_pool(1, || run_once(variant, 12, 8, 42));
-        assert!(reference.num_hits > 0, "sanity: pipeline recovered something");
+        assert!(
+            reference.num_hits > 0,
+            "sanity: pipeline recovered something"
+        );
         for threads in POOL_SIZES {
             let run = with_pool(threads, || run_once(variant, 12, 8, 42));
             assert!(
@@ -98,7 +102,10 @@ fn pipeline_outputs_identical_across_pool_sizes() {
         }
         // And under whatever this host/CI configured as the default.
         let default_run = run_once(variant, 12, 8, 42);
-        assert!(default_run == reference, "{variant:?} default pool diverged");
+        assert!(
+            default_run == reference,
+            "{variant:?} default pool diverged"
+        );
     }
 }
 
@@ -149,7 +156,8 @@ fn serve_engine_identical_across_pool_sizes() {
                 cache_capacity: 8,
                 ..ServeConfig::default()
             },
-        ).expect("serve config is valid")
+        )
+        .expect("serve config is valid")
         .serve_batch(&reqs)
     };
     let reference = with_pool(1, serve);

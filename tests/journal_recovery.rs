@@ -16,8 +16,7 @@
 
 use cusfft::journal::plan_group_count;
 use cusfft::{
-    CusFftError, Journal, JournalOptions, ServeConfig, ServeEngine, ServeRequest,
-    Variant,
+    CusFftError, Journal, JournalOptions, ServeConfig, ServeEngine, ServeRequest, Variant,
 };
 use gpu_sim::{CrashPlan, DeviceSpec, FaultConfig};
 use signal::{MagnitudeModel, SparseSignal};

@@ -52,7 +52,9 @@ fn prometheus(audit: bool, seed: u64) -> String {
 
 /// Series lines of the exposition: `name{labels} value` or `name value`.
 fn series_lines(prom: &str) -> Vec<&str> {
-    prom.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).collect()
+    prom.lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .collect()
 }
 
 /// All values of one label across the exposition.
@@ -71,15 +73,43 @@ fn label_values<'a>(prom: &'a str, label: &str) -> BTreeSet<&'a str> {
     out
 }
 
-const CAUSE_PREFIXES: [&str; 6] = ["done:", "degraded:", "failover:", "shed:", "rejected:", "failed:"];
+const CAUSE_PREFIXES: [&str; 6] = [
+    "done:",
+    "degraded:",
+    "failover:",
+    "shed:",
+    "rejected:",
+    "failed:",
+];
 
 const EVENT_KINDS: [&str; 27] = [
-    "batch_admitted", "admitted", "shed", "deadline_rejected", "invalid",
-    "group_placed", "brownout", "breaker_transition", "breaker_probe",
-    "short_circuit", "hedge_fired", "hedge_resolved", "evicted",
-    "retry_attempt", "retry_failed", "cpu_fallback", "terminal",
-    "router_placement", "device_loss", "failover", "drain", "drain_probe",
-    "recover", "cpu_tier", "checkpoint", "resume", "recovered",
+    "batch_admitted",
+    "admitted",
+    "shed",
+    "deadline_rejected",
+    "invalid",
+    "group_placed",
+    "brownout",
+    "breaker_transition",
+    "breaker_probe",
+    "short_circuit",
+    "hedge_fired",
+    "hedge_resolved",
+    "evicted",
+    "retry_attempt",
+    "retry_failed",
+    "cpu_fallback",
+    "terminal",
+    "router_placement",
+    "device_loss",
+    "failover",
+    "drain",
+    "drain_probe",
+    "recover",
+    "cpu_tier",
+    "checkpoint",
+    "resume",
+    "recovered",
 ];
 
 #[test]
@@ -96,7 +126,11 @@ fn cause_vocabulary_is_closed_and_bounded() {
         }
         // The full cross product of the vocabulary is small by design;
         // a run can only ever use a subset of it.
-        assert!(causes.len() <= 16, "{} distinct causes: {causes:?}", causes.len());
+        assert!(
+            causes.len() <= 16,
+            "{} distinct causes: {causes:?}",
+            causes.len()
+        );
     }
 }
 
@@ -109,7 +143,10 @@ fn audit_event_kinds_are_known() {
         }
         let kinds = label_values(line, "kind");
         for kind in kinds {
-            assert!(EVENT_KINDS.contains(&kind), "unknown audit event kind {kind:?}");
+            assert!(
+                EVENT_KINDS.contains(&kind),
+                "unknown audit event kind {kind:?}"
+            );
         }
     }
 }
@@ -126,8 +163,15 @@ fn audited_registry_stays_under_series_budget() {
 #[test]
 fn unaudited_registry_has_no_audit_families_or_cause_label() {
     let prom = prometheus(false, 7);
-    assert!(label_values(&prom, "cause").is_empty(), "cause leaked into unaudited export");
-    for family in ["cusfft_audit_events_total", "cusfft_slo_", "cusfft_slo_alerts_total"] {
+    assert!(
+        label_values(&prom, "cause").is_empty(),
+        "cause leaked into unaudited export"
+    );
+    for family in [
+        "cusfft_audit_events_total",
+        "cusfft_slo_",
+        "cusfft_slo_alerts_total",
+    ] {
         assert!(
             !prom.contains(family),
             "{family} leaked into the unaudited export"

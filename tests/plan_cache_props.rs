@@ -122,7 +122,11 @@ fn backend_dimension_prevents_plan_aliasing() {
     let cpu_plan = cache.get_or_build(&device, &registry, cpu).unwrap();
     assert_eq!(gpu_plan.backend(), BackendKind::GpuSim);
     assert_eq!(cpu_plan.backend(), BackendKind::SfftCpu);
-    assert_eq!(cache.stats().misses, 2, "distinct backends are distinct entries");
+    assert_eq!(
+        cache.stats().misses,
+        2,
+        "distinct backends are distinct entries"
+    );
     assert_eq!(cache.stats().len, 2);
 
     // Looking either key up again returns the plan built by its own

@@ -29,7 +29,8 @@ fn engine(kind: RemapKind, faults: Option<FaultConfig>) -> ServeEngine {
             ..ServeConfig::default()
         },
         registry,
-    ).expect("serve config is valid")
+    )
+    .expect("serve config is valid")
 }
 
 fn batch(n: usize, width: usize) -> Vec<ServeRequest> {
@@ -57,7 +58,8 @@ fn tiled_remap_spectra_are_bit_identical_to_direct() {
                 assert_eq!(direct.outcomes.len(), tiled.outcomes.len());
                 for (i, (d, t)) in direct.outcomes.iter().zip(&tiled.outcomes).enumerate() {
                     assert_eq!(
-                        d, t,
+                        d,
+                        t,
                         "n={n} width={width} faults={:?} request {i}: tiled remap \
                          must be execution-invisible",
                         faults.as_ref().map(|f| f.seed)
@@ -90,7 +92,11 @@ fn transaction_model_prefers_tiled_on_large_widths() {
     // Consistency: the tiled flavour is only ever selected when it
     // strictly undercuts the direct price (occupancy can veto a win,
     // but never manufacture one).
-    for &(w_pad, b) in &[(1usize << 8, 1usize << 6), (1 << 11, 1 << 7), (1 << 14, 1 << 8)] {
+    for &(w_pad, b) in &[
+        (1usize << 8, 1usize << 6),
+        (1 << 11, 1 << 7),
+        (1 << 14, 1 << 8),
+    ] {
         let c = choose_remap(&spec, w_pad, b);
         if c.kind == RemapKind::Tiled {
             assert!(
@@ -129,7 +135,10 @@ fn serve_rollup_shows_transaction_drop() {
     };
     let (perm_direct, total_direct) = txns(&direct);
     let (perm_tiled, total_tiled) = txns(&tiled);
-    assert!(perm_direct > 0.0, "permutation kernels must appear in the rollup");
+    assert!(
+        perm_direct > 0.0,
+        "permutation kernels must appear in the rollup"
+    );
     assert!(
         perm_tiled < perm_direct,
         "tiled remap must lower the permutation step's modeled transactions: \

@@ -52,7 +52,8 @@ fn serve_is_bit_identical_to_direct_execute() {
                     cache_capacity: 8,
                     ..ServeConfig::default()
                 },
-            ).expect("serve config is valid");
+            )
+            .expect("serve config is valid");
             let reqs = mixed_batch(batch_len);
             let report = engine.serve_batch(&reqs);
             assert_eq!(report.outcomes.len(), batch_len);
@@ -81,7 +82,8 @@ fn worker_count_never_changes_results() {
                 cache_capacity: 8,
                 ..ServeConfig::default()
             },
-        ).expect("serve config is valid")
+        )
+        .expect("serve config is valid")
         .serve_batch(&reqs)
     };
     let base = serve(1);
@@ -110,7 +112,8 @@ fn repeated_runs_reproduce_spectra_and_timeline() {
                 cache_capacity: 8,
                 ..ServeConfig::default()
             },
-        ).expect("serve config is valid")
+        )
+        .expect("serve config is valid")
         .serve_batch(&reqs)
     };
     let a = run();
@@ -142,7 +145,8 @@ fn cache_counters_accumulate_across_batches() {
             cache_capacity: 8,
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid");
+    )
+    .expect("serve config is valid");
     let reqs = mixed_batch(8); // 4 distinct geometries, each twice
     let first = engine.serve_batch(&reqs);
     assert_eq!(first.cache.misses, 4, "one build per geometry");
@@ -162,7 +166,8 @@ fn multi_group_batches_occupy_concurrent_streams() {
             cache_capacity: 8,
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid");
+    )
+    .expect("serve config is valid");
     let report = engine.serve_batch(&mixed_batch(8));
     assert!(
         report.concurrency.max_concurrent_streams >= 2,

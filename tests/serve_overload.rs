@@ -70,7 +70,8 @@ fn engine(workers: usize, faults: Option<FaultConfig>) -> ServeEngine {
             faults,
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid")
+    )
+    .expect("serve config is valid")
 }
 
 /// Runs `f` on a dedicated host pool of the given width.
@@ -180,7 +181,15 @@ fn breaker_opens_and_beats_retry_every_request() {
     // Eight single-request groups (distinct k) so the breaker sees a
     // stream of group observations.
     let reqs: Vec<ServeRequest> = (0..8)
-        .map(|i| request(1 << 11, 2 + i, Variant::Optimized, 300 + i as u64, 900 + i as u64))
+        .map(|i| {
+            request(
+                1 << 11,
+                2 + i,
+                Variant::Optimized,
+                300 + i as u64,
+                900 + i as u64,
+            )
+        })
         .collect();
     let config = ServeConfig {
         workers: 2,
@@ -197,7 +206,8 @@ fn breaker_opens_and_beats_retry_every_request() {
         epoch_groups: 2,
         ..permissive_policy()
     };
-    let over = ServeEngine::new(DeviceSpec::tesla_k20x(), config).expect("serve config is valid")
+    let over = ServeEngine::new(DeviceSpec::tesla_k20x(), config)
+        .expect("serve config is valid")
         .serve_overload(&trace_at_zero(reqs.clone()), &policy);
     assert!(
         over.breaker.iter().any(|t| t.to == BreakerState::Open),
@@ -214,7 +224,9 @@ fn breaker_opens_and_beats_retry_every_request() {
         assert_eq!(r.path, ServePath::Cpu, "persistent faults end on the CPU");
     }
 
-    let legacy = ServeEngine::new(DeviceSpec::tesla_k20x(), config).expect("serve config is valid").serve_batch(&reqs);
+    let legacy = ServeEngine::new(DeviceSpec::tesla_k20x(), config)
+        .expect("serve config is valid")
+        .serve_batch(&reqs);
     assert!(
         legacy.outcomes.iter().all(|o| o.response().is_some()),
         "both layers complete everything"
@@ -385,7 +397,10 @@ fn unmeetable_deadlines_are_rejected_at_admission() {
             assert!(o.response().is_some(), "request {i} meets its deadline");
         } else {
             match o {
-                RequestOutcome::DeadlineExceeded { predicted, deadline } => {
+                RequestOutcome::DeadlineExceeded {
+                    predicted,
+                    deadline,
+                } => {
                     assert!(*predicted > *deadline, "request {i}");
                     assert_eq!(*deadline, 0.0);
                 }
@@ -433,7 +448,15 @@ fn brownout_serves_degraded_without_dropping() {
 fn stragglers_get_hedged_deterministically() {
     // Three quick groups and one straggler (16× the signal length).
     let mut reqs: Vec<ServeRequest> = (0..3)
-        .map(|i| request(1 << 10, 2 + i, Variant::Optimized, 20 + i as u64, 60 + i as u64))
+        .map(|i| {
+            request(
+                1 << 10,
+                2 + i,
+                Variant::Optimized,
+                20 + i as u64,
+                60 + i as u64,
+            )
+        })
         .collect();
     reqs.push(request(1 << 14, 4, Variant::Optimized, 33, 99));
     let trace = trace_at_zero(reqs);
@@ -453,9 +476,10 @@ fn stragglers_get_hedged_deterministically() {
         a.overload.hedge_wins, 0,
         "fault-free, a hedge ties its primary and the primary wins"
     );
-    assert!(a.outcomes.iter().all(|o| o
-        .response()
-        .is_some_and(|r| r.path == ServePath::Gpu)));
+    assert!(a
+        .outcomes
+        .iter()
+        .all(|o| o.response().is_some_and(|r| r.path == ServePath::Gpu)));
     let b = engine(4, None).serve_overload(&trace, &policy);
     assert_same_report(&a, &b, "hedging across worker counts");
 }

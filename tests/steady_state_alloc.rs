@@ -127,7 +127,8 @@ fn serve_report_pool_traffic_is_per_group_not_per_request() {
             workers: 1,
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid");
+    )
+    .expect("serve config is valid");
     let req = || {
         let s = SparseSignal::generate(n, k, MagnitudeModel::Unit, 11);
         ServeRequest::new(s.time, k, Variant::Optimized, 42)

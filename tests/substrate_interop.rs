@@ -9,9 +9,13 @@ fn rand_signal(n: usize, seed: u64) -> Vec<Cplx> {
     let mut s = seed;
     (0..n)
         .map(|_| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let a = ((s >> 16) as u32 as f64) / u32::MAX as f64 - 0.5;
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let b = ((s >> 16) as u32 as f64) / u32::MAX as f64 - 0.5;
             Cplx::new(a, b)
         })
@@ -26,7 +30,10 @@ fn fft_implementations_agree() {
         let reference = Plan::new(n).transform(&x, Direction::Forward);
         let candidates: Vec<(&str, Vec<Cplx>)> = vec![
             ("bluestein", bluestein_fft(&x, Direction::Forward)),
-            ("parallel", ParallelPlan::new(n).transform(&x, Direction::Forward)),
+            (
+                "parallel",
+                ParallelPlan::new(n).transform(&x, Direction::Forward),
+            ),
         ];
         let tol = 1e-8 * (n as f64).sqrt();
         for (name, got) in candidates {
@@ -43,7 +50,9 @@ fn fft_implementations_agree() {
 #[test]
 fn real_input_spectrum_is_conjugate_symmetric() {
     let n = 512;
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin() * (i as f64 * 0.031).cos()).collect();
+    let x: Vec<f64> = (0..n)
+        .map(|i| (i as f64 * 0.13).sin() * (i as f64 * 0.031).cos())
+        .collect();
     let as_complex: Vec<Cplx> = x.iter().map(|&v| Cplx::real(v)).collect();
     let full = Plan::new(n).transform(&as_complex, Direction::Forward);
     for f in 1..n / 2 {
@@ -79,10 +88,20 @@ fn filter_response_consistent_between_band_and_signal_path() {
 
     let n = 1 << 12;
     let b = 64;
-    let filt = FlatFilter::design(n, (1.3 * n as f64 / 256.0) as usize, 0.002, 1e-6, n / b, WindowKind::DolphChebyshev);
+    let filt = FlatFilter::design(
+        n,
+        (1.3 * n as f64 / 256.0) as usize,
+        0.002,
+        1e-6,
+        n / b,
+        WindowKind::DolphChebyshev,
+    );
     let f0 = 37 * (n / b); // exactly at a bucket centre
     let time: Vec<Cplx> = (0..n)
-        .map(|t| Cplx::cis(std::f64::consts::TAU * ((f0 * t) % n) as f64 / n as f64).scale(1.0 / n as f64))
+        .map(|t| {
+            Cplx::cis(std::f64::consts::TAU * ((f0 * t) % n) as f64 / n as f64)
+                .scale(1.0 / n as f64)
+        })
         .collect();
     let perm = Permutation::new(1, 0, n);
     let mut buckets = perm_filter(&time, &filt, b, &perm);
@@ -98,7 +117,9 @@ fn filter_response_consistent_between_band_and_signal_path() {
 
 #[test]
 fn selection_algorithms_agree_on_distinct_values() {
-    let values: Vec<f64> = (0..4096).map(|i| ((i * 2654435761usize) % 999983) as f64).collect();
+    let values: Vec<f64> = (0..4096)
+        .map(|i| ((i * 2654435761usize) % 999983) as f64)
+        .collect();
     let k = 63;
     let mut a = kselect::sort_select(&values, k);
     let mut b = kselect::quickselect_top_k(&values, k);

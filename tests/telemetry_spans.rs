@@ -78,7 +78,8 @@ fn stress_report(workers: usize) -> ServeReport {
             faults: Some(FaultConfig::uniform(fault_seed(), 0.02).with_sdc(0.05)),
             ..ServeConfig::default()
         },
-    ).expect("serve config is valid");
+    )
+    .expect("serve config is valid");
     engine.serve_overload(&trace, &policy)
 }
 
@@ -248,9 +249,10 @@ fn every_leaf_span_resolves_to_exactly_one_backend() {
     // The workload runs on the default backend, so device-attributed
     // work must show up as gpu_sim leaves.
     assert!(
-        tree.spans
+        tree.spans.iter().any(|s| s
+            .attrs
             .iter()
-            .any(|s| s.attrs.iter().any(|(k, v)| k == "backend" && v == "gpu_sim")),
+            .any(|(k, v)| k == "backend" && v == "gpu_sim")),
         "gpu_sim work must be attributed"
     );
     // Every group span names its backend.
@@ -270,7 +272,11 @@ fn every_leaf_span_resolves_to_exactly_one_backend() {
 #[test]
 fn path_latency_summary_is_consistent() {
     let report = stress_report(2);
-    let completed = report.outcomes.iter().filter(|o| o.response().is_some()).count() as u64;
+    let completed = report
+        .outcomes
+        .iter()
+        .filter(|o| o.response().is_some())
+        .count() as u64;
     let total: u64 = report.path_latency.iter().map(|pl| pl.count).sum();
     assert_eq!(total, completed, "latency classes partition completions");
     for pl in &report.path_latency {

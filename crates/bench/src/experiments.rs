@@ -176,9 +176,11 @@ pub struct FilterAblation {
 
 /// Runs the perm+filter kernel ablation at one size.
 pub fn filter_ablation(log2_n: u32, k: usize, seed: u64) -> FilterAblation {
-    use cusfft::perm_filter::{perm_filter_async, perm_filter_atomic, perm_filter_partition};
+    use cusfft::perm_filter::{
+        perm_filter_async, perm_filter_atomic, perm_filter_partition, RemapKind,
+    };
     use fft::cplx::ZERO;
-    use gpu_sim::DeviceBuffer;
+    use gpu_sim::{BufferPool, DeviceBuffer};
     use sfft_cpu::Permutation;
 
     let n = 1usize << log2_n;
@@ -211,7 +213,18 @@ pub fn filter_ablation(log2_n: u32, k: usize, seed: u64) -> FilterAblation {
     let streams: Vec<_> = (0..8).map(|_| device.create_stream()).collect();
     let mut out2 = DeviceBuffer::zeroed(b);
     perm_filter_async(
-        &device, &signal, &taps_buf, w_pad, w, b, &perm, &mut out2, &streams, DEFAULT_STREAM,
+        &device,
+        &signal,
+        &taps_buf,
+        w_pad,
+        w,
+        b,
+        &perm,
+        &mut out2,
+        &streams,
+        DEFAULT_STREAM,
+        RemapKind::Direct,
+        &BufferPool::new(),
     )
     .expect("fault-free device");
     let async_layout = device.elapsed();
@@ -245,7 +258,7 @@ pub struct SelectionAblation {
 pub fn selection_ablation(b: usize, k: usize, seed: u64) -> SelectionAblation {
     use cusfft::cutoff::{fast_select_device, magnitudes_device, sort_select_device};
     use fft::Cplx;
-    use gpu_sim::DeviceBuffer;
+    use gpu_sim::{BufferPool, DeviceBuffer};
     use rand::{Rng, SeedableRng};
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -260,7 +273,7 @@ pub fn selection_ablation(b: usize, k: usize, seed: u64) -> SelectionAblation {
 
     let device = GpuDevice::new(DeviceSpec::tesla_k20x());
     let bucket_buf = DeviceBuffer::from_host(&buckets);
-    let mags = magnitudes_device(&device, &bucket_buf, DEFAULT_STREAM)
+    let mags = magnitudes_device(&device, &BufferPool::new(), &bucket_buf, DEFAULT_STREAM)
         .expect("fault-free device");
 
     device.reset_clock();

@@ -3,7 +3,7 @@
 //!
 //! Every device-resident scratch buffer the pipeline acquires per request
 //! — bucket rows, async staging chunks, magnitude vectors, reconstruction
-//! values, comb masks, request signals — goes through one of these pools.
+//! values, request signals — goes through one of these pools.
 //! The first request of a group populates them (ordinary tracked
 //! allocations, charged against the device `MemPool` and subject to the
 //! allocation fault gate); subsequent same-shape acquisitions are free-list
@@ -28,8 +28,6 @@ pub struct ExecArena {
     pub cplx: BufferPool<Cplx>,
     /// Real scratch: bucket magnitude vectors.
     pub f64s: BufferPool<f64>,
-    /// Byte scratch: comb residue masks.
-    pub bytes: BufferPool<u8>,
 }
 
 /// Aggregated hit/miss counters across an arena's pools.
@@ -60,7 +58,6 @@ impl ExecArena {
     pub fn reset(&self) {
         self.cplx.clear();
         self.f64s.clear();
-        self.bytes.clear();
     }
 
     /// Cumulative hit/miss counters summed over the typed pools.
@@ -68,7 +65,6 @@ impl ExecArena {
         let mut s = ArenaStats::default();
         s.add(self.cplx.stats());
         s.add(self.f64s.stats());
-        s.add(self.bytes.stats());
         s
     }
 }

@@ -30,24 +30,13 @@ pub fn cufft_model_time(device: &GpuDevice, row_len: usize, batch: usize) -> f64
     spec.launch_overhead_us * 1e-6 * passes + t_mem.max(t_comp)
 }
 
-/// Executes a batched in-place forward FFT over `bufs` (each a row of
-/// `row_len` points) and charges a single batched-cuFFT operation. Fails
-/// with a typed device error on an injected launch fault, in which case
-/// no row was transformed (safe to retry).
-pub fn batched_fft_device(
-    device: &GpuDevice,
-    bufs: &mut [DeviceBuffer<Cplx>],
-    row_len: usize,
-    stream: StreamId,
-    label: &str,
-) -> Result<(), GpuError> {
-    let mut rows: Vec<&mut DeviceBuffer<Cplx>> = bufs.iter_mut().collect();
-    batched_fft_rows(device, &mut rows, row_len, stream, label)
-}
-
-/// Like [`batched_fft_device`] but over non-contiguous rows, so callers
-/// can gather same-geometry buffers owned by *different* requests into one
-/// batched launch (the serving layer's cross-request batching).
+/// Executes a batched in-place forward FFT over `rows` (each a row of
+/// `row_len` points) and charges a single batched-cuFFT operation. The
+/// rows need not be contiguous, so callers can gather same-geometry
+/// buffers owned by *different* requests into one batched launch (the
+/// serving layer's cross-request batching). Fails with a typed device
+/// error on an injected launch fault, in which case no row was
+/// transformed (safe to retry).
 pub fn batched_fft_rows(
     device: &GpuDevice,
     rows: &mut [&mut DeviceBuffer<Cplx>],
@@ -141,7 +130,8 @@ mod tests {
                 DeviceBuffer::from_host(&v)
             })
             .collect();
-        batched_fft_device(&dev, &mut bufs, row, DEFAULT_STREAM, "cufft_batched").unwrap();
+        let mut rows: Vec<&mut DeviceBuffer<Cplx>> = bufs.iter_mut().collect();
+        batched_fft_rows(&dev, &mut rows, row, DEFAULT_STREAM, "cufft_batched").unwrap();
         let plan = Plan::new(row);
         for (r, buf) in bufs.iter().enumerate() {
             let mut expect = vec![ZERO; row];

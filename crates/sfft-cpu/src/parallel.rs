@@ -107,6 +107,7 @@ pub fn psfft(params: &SfftParams, time: &[Cplx], seed: u64) -> Recovered {
             params.loops_thresh,
             &mut score,
             &mut hits,
+            None,
         );
     }
 

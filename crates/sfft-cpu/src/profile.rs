@@ -2,17 +2,15 @@
 //! instrumentation behind the paper's Figure 2 ("time distribution for the
 //! major steps in sFFT").
 
+use std::time::Instant;
+
 use fft::cplx::Cplx;
-use fft::Plan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use signal::Recovered;
-use std::time::Instant;
 
-use crate::estimate::estimate;
-use crate::inner::{cutoff, locate, perm_filter, subsample_fft, LoopData};
 use crate::params::SfftParams;
-use crate::perm::Permutation;
+use crate::serial::run_loops;
 
 /// Accumulated wall-clock seconds per sFFT step.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -62,64 +60,15 @@ impl StepTimings {
 /// Runs the sequential sFFT, timing each step. Produces the same result
 /// as [`crate::serial::sfft`] for the same seed.
 pub fn sfft_profiled(params: &SfftParams, time: &[Cplx], seed: u64) -> (Recovered, StepTimings) {
-    let n = params.n;
-    assert_eq!(time.len(), n, "signal length must match params.n");
-    let mut rng = StdRng::seed_from_u64(seed);
     let t_start = Instant::now();
-
-    let plan_loc = Plan::new(params.b_loc);
-    let plan_est = Plan::new(params.b_est);
-
     let mut timings = StepTimings::default();
-    let mut score = vec![0u8; n];
-    let mut hits: Vec<usize> = Vec::new();
-    let mut loops: Vec<LoopData> = Vec::with_capacity(params.loops_total());
-
-    for r in 0..params.loops_total() {
-        let is_loc = r < params.loops_loc;
-        let (b, filter, plan) = if is_loc {
-            (params.b_loc, &params.filter_loc, &plan_loc)
-        } else {
-            (params.b_est, &params.filter_est, &plan_est)
-        };
-        let perm = Permutation::random(&mut rng, n, params.random_tau);
-
-        let t0 = Instant::now();
-        let mut buckets = perm_filter(time, filter, b, &perm);
-        timings.perm_filter += t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        subsample_fft(&mut buckets, plan);
-        timings.subsampled_fft += t1.elapsed().as_secs_f64();
-
-        if is_loc {
-            let t2 = Instant::now();
-            let selected = cutoff(&buckets, params.num_candidates);
-            timings.cutoff += t2.elapsed().as_secs_f64();
-
-            let t3 = Instant::now();
-            locate(
-                &selected,
-                &perm,
-                b,
-                params.loops_thresh,
-                &mut score,
-                &mut hits,
-            );
-            timings.locate += t3.elapsed().as_secs_f64();
-        }
-        loops.push(LoopData {
-            perm,
-            buckets,
-            is_loc,
-        });
-    }
-
-    let t4 = Instant::now();
-    let mut rec = estimate(&hits, &loops, params);
-    timings.estimate += t4.elapsed().as_secs_f64();
-    rec.sort_unstable_by_key(|&(f, _)| f);
-
+    let rec = run_loops(
+        params,
+        time,
+        &mut StdRng::seed_from_u64(seed),
+        None,
+        Some(&mut timings),
+    );
     timings.total = t_start.elapsed().as_secs_f64();
     (rec, timings)
 }

@@ -20,7 +20,7 @@ use cusfft::perm_filter::{perm_filter_atomic, try_perm_filter_shared};
 use cusfft::{CusFft, Variant};
 use fft::cplx::ZERO;
 use gpu_sim::{DeviceBuffer, DeviceSpec, GpuDevice, LaunchRecord, DEFAULT_STREAM};
-use sfft_cpu::{CombParams, Permutation, SfftParams};
+use sfft_cpu::{Permutation, SfftParams};
 use signal::{MagnitudeModel, SparseSignal};
 
 /// FNV-1a, 64-bit, continued from `h`.
@@ -49,20 +49,11 @@ fn with_pool1<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// One `CusFft::execute`, returning the device's launch records.
-fn execute(
-    spec: DeviceSpec,
-    variant: Variant,
-    log2_n: u32,
-    k: usize,
-    comb: bool,
-) -> Vec<LaunchRecord> {
+fn execute(spec: DeviceSpec, variant: Variant, log2_n: u32, k: usize) -> Vec<LaunchRecord> {
     let n = 1usize << log2_n;
     let s = SparseSignal::generate(n, k, MagnitudeModel::Unit, 41 + log2_n as u64);
     let device = Arc::new(GpuDevice::new(spec));
-    let mut plan = CusFft::new(device.clone(), Arc::new(SfftParams::tuned(n, k)), variant);
-    if comb {
-        plan = plan.with_comb(CombParams::tuned(n, k));
-    }
+    let plan = CusFft::new(device.clone(), Arc::new(SfftParams::tuned(n, k)), variant);
     plan.execute(&s.time, 5);
     device.records()
 }
@@ -142,7 +133,7 @@ fn pipeline_launch_stats_are_pinned() {
     let actual: Vec<(&str, u64)> = with_pool1(|| {
         cases
             .into_iter()
-            .map(|(case, spec, variant)| (case, digest(&execute(spec, variant, 12, 8, false))))
+            .map(|(case, spec, variant)| (case, digest(&execute(spec, variant, 12, 8))))
             .collect()
     });
     check(&actual, &PIPELINE);
@@ -150,8 +141,7 @@ fn pipeline_launch_stats_are_pinned() {
 
 #[test]
 fn sampled_launch_stats_are_pinned() {
-    let records =
-        with_pool1(|| execute(DeviceSpec::tesla_k20x(), Variant::Optimized, 18, 16, false));
+    let records = with_pool1(|| execute(DeviceSpec::tesla_k20x(), Variant::Optimized, 18, 16));
     assert!(
         records
             .iter()
@@ -159,14 +149,6 @@ fn sampled_launch_stats_are_pinned() {
         "some launch at n = 2^18 must trace only a sample of its warps"
     );
     check(&[("K20x optimized 2^18", digest(&records))], &[SAMPLED]);
-}
-
-#[test]
-fn comb_launch_stats_are_pinned() {
-    let records =
-        with_pool1(|| execute(DeviceSpec::tesla_k20x(), Variant::Optimized, 13, 16, true));
-    assert!(records.iter().any(|r| r.name == "locate_masked"));
-    check(&[("K20x optimized 2^13 comb", digest(&records))], &[COMB]);
 }
 
 #[test]
@@ -200,5 +182,4 @@ const PIPELINE: [u64; 4] = [
     0x35e317e264301706, // K2000 optimized 2^12
 ];
 const SAMPLED: u64 = 0x36125617eb5dbdbd;
-const COMB: u64 = 0xe618a7820427472f;
 const ATOMIC: u64 = 0x2c3593959b60ca3a;

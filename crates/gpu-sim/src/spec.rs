@@ -167,11 +167,6 @@ impl DeviceSpec {
         self.mem_bandwidth * self.mem_efficiency
     }
 
-    /// Maximum warps resident device-wide.
-    pub fn max_resident_warps(&self) -> u64 {
-        self.sm_count as u64 * self.max_warps_per_sm as u64
-    }
-
     /// Renders the spec as the paper's Table I row.
     pub fn table_row(&self) -> String {
         format!(
@@ -226,11 +221,6 @@ impl CpuSpec {
         }
     }
 
-    /// Peak double-precision FLOP rate across all cores.
-    pub fn peak_flops(&self) -> f64 {
-        self.cores as f64 * self.clock_ghz * 1e9 * self.flops_per_cycle
-    }
-
     /// Renders the spec as the paper's Table II row.
     pub fn table_row(&self) -> String {
         format!(
@@ -268,7 +258,6 @@ mod tests {
         let tflops = s.peak_fp64_flops() / 1e12;
         assert!((1.0..1.6).contains(&tflops), "got {tflops} TFLOP/s");
         assert!(s.effective_bandwidth() < s.mem_bandwidth);
-        assert_eq!(s.max_resident_warps(), 14 * 64);
     }
 
     #[test]
@@ -302,7 +291,6 @@ mod tests {
         assert_eq!(c.cores, 6);
         assert!((c.clock_ghz - 2.5).abs() < 1e-9);
         assert_eq!(c.llc_bytes, 15 * 1024 * 1024);
-        assert!(c.peak_flops() > 1e11);
     }
 
     #[test]

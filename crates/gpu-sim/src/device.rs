@@ -17,10 +17,12 @@
 //! # Determinism under host parallelism
 //!
 //! Results are **bit-identical across pool sizes** (and to sequential
-//! execution), and so is the analytic cost of every launch whose traced
-//! addresses depend only on the launch geometry:
+//! execution), and so is the analytic cost of every launch:
 //!
 //! * blocks write disjoint output chunks or go through the atomic cells;
+//! * an append ([`crate::atomic::DevAppendU32`]) traces the lane's rank
+//!   among its warp's appending lanes, never the cursor value it claimed,
+//!   so no traced address depends on how host threads interleave blocks;
 //! * trace sampling is keyed on `block_idx` (`block_idx % sample_every`),
 //!   not on which thread ran the block;
 //! * each sampled block's task prices its own warps into a tally through
@@ -29,12 +31,6 @@
 //!   order;
 //! * every launch appends exactly one [`Op`] under the state lock after
 //!   all blocks finish, so op order is the enqueue order.
-//!
-//! The exception is a cursor-claimed store (`out[atomicAdd(&cursor, 1)]`
-//! in the cutoff and location kernels): it traces the claimed slot, and
-//! which slot a lane claims depends on how host threads interleave
-//! blocks. With more than one host thread, such a launch's transaction
-//! count can differ between runs (seen from n = 2^14 with two threads).
 //!
 //! Every launch and transfer appends an [`Op`] with its modelled duration
 //! to the timeline; [`GpuDevice::elapsed`] replays the stream schedule and

@@ -121,6 +121,15 @@ impl<'a> Gmem<'a> {
         self.record(addr, bytes, AccessKind::Atomic);
     }
 
+    /// Records a warp-aggregated append (called by
+    /// [`crate::atomic::DevAppendU32`]): see `Recorder::record_append`.
+    #[inline]
+    pub(crate) fn note_append(&mut self, cursor_addr: u64, out_base: u64) {
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.record_append(cursor_addr, out_base);
+        }
+    }
+
     /// Reports `n` double-precision floating-point operations.
     #[inline]
     pub fn flops(&mut self, n: u64) {

@@ -36,7 +36,7 @@ pub mod spec;
 pub mod timeline;
 pub mod trace;
 
-pub use atomic::{DevAtomicCplx, DevAtomicF64, DevAtomicU32};
+pub use atomic::{DevAppendU32, DevAtomicCplx, DevAtomicF64, DevAtomicU32};
 pub use breaker::{
     BreakerConfig, BreakerDecision, BreakerState, BreakerTransition, CircuitBreaker,
 };

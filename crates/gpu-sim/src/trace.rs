@@ -98,6 +98,8 @@ pub(crate) struct Recorder {
     lanes: u32,
     /// The running lane's next slot.
     next_slot: u32,
+    /// Lanes of the current warp that have appended so far.
+    appends: u32,
     /// One past the highest slot of `pending`.
     slots: usize,
     /// The current warp's DRAM accesses, in lane order.
@@ -121,6 +123,7 @@ impl Recorder {
             segment: spec.scatter_segment_bytes as u64,
             lanes: 0,
             next_slot: 0,
+            appends: 0,
             slots: 0,
             pending: Vec::new(),
             offsets: Vec::new(),
@@ -164,6 +167,22 @@ impl Recorder {
         self.record(addr, bytes, AccessKind::Read);
     }
 
+    /// Records a warp-aggregated append of one `u32` by the running lane.
+    /// The warp's first appending lane charges one atomic on the cursor;
+    /// every appending lane stores at `out_base + rank·4`, where rank is
+    /// its position among the warp's appending lanes. The atomic's slot is
+    /// taken by every appending lane, so the stores share one slot.
+    pub(crate) fn record_append(&mut self, cursor_addr: u64, out_base: u64) {
+        let rank = self.appends;
+        self.appends += 1;
+        if rank == 0 {
+            self.record(cursor_addr, 4, AccessKind::Atomic);
+        } else {
+            self.next_slot += 1;
+        }
+        self.record(out_base + u64::from(rank) * 4, 4, AccessKind::Write);
+    }
+
     /// Adds to the flop count.
     #[inline]
     pub(crate) fn add_flops(&mut self, n: u64) {
@@ -192,6 +211,7 @@ impl Recorder {
     /// instruction into the tally.
     fn end_warp(&mut self) {
         self.lanes = 0;
+        self.appends = 0;
         self.tally.warps += 1;
         let slots = std::mem::take(&mut self.slots);
         // A counting sort on the slot, stable in lane order. While
@@ -492,6 +512,45 @@ mod tests {
         assert_eq!((rec.tally.warps, rec.tally.transactions), (1, 4));
         rec.record(0, 16, AccessKind::Read);
         assert_eq!(rec.pending(), vec![(0, 0, AccessKind::Read)]);
+    }
+
+    #[test]
+    fn append_charges_one_cursor_atomic_per_warp_and_stores_by_rank() {
+        let spec = DeviceSpec::tesla_k20x();
+        let mut rec = Recorder::new(&spec);
+        let (cursor, out) = (1 << 20, 1 << 24);
+        // Two warps; the odd lanes append after one load each.
+        for _ in 0..2 {
+            for lane in 0..spec.warp_size as u64 {
+                rec.record(lane * 8, 8, AccessKind::Read);
+                if lane % 2 == 1 {
+                    rec.record_append(cursor, out);
+                }
+                if lane == 3 {
+                    let appends: Vec<_> = rec
+                        .pending()
+                        .into_iter()
+                        .filter(|p| p.2 != AccessKind::Read)
+                        .collect();
+                    assert_eq!(
+                        appends,
+                        [
+                            (1, cursor, AccessKind::Atomic),
+                            (2, out, AccessKind::Write),
+                            (2, out + 4, AccessKind::Write),
+                        ]
+                    );
+                }
+                rec.end_lane();
+            }
+        }
+        let tally = rec.finish();
+        assert_eq!(tally.atomic_addrs, vec![cursor; 2]);
+        // Per warp: 32 loads, 1 atomic and 16 stores.
+        assert_eq!(tally.mem_ops, 2 * (32 + 1 + 16));
+        // Per warp: 2 lines of loads, 1 cursor segment and the 64 B of
+        // stores in 2 segments.
+        assert_eq!(tally.transactions, 2 * (2 + 1 + 2));
     }
 
     #[test]

@@ -113,19 +113,27 @@ fn pipeline_outputs_identical_across_pool_sizes() {
 fn kernel_stats_and_timeline_identical_across_pool_sizes() {
     // Zoom in on the two fingerprint components the pool could plausibly
     // corrupt: per-kernel aggregated stats (atomic accumulation order)
-    // and the op timeline (append order under the state lock).
-    let reference = with_pool(1, || run_once(Variant::Optimized, 13, 16, 7));
-    assert!(!reference.records.is_empty() && !reference.ops.is_empty());
-    for threads in POOL_SIZES[1..].iter().copied() {
-        let run = with_pool(threads, || run_once(Variant::Optimized, 13, 16, 7));
-        assert_eq!(
-            run.records, reference.records,
-            "per-kernel KernelStats must not depend on pool width ({threads})"
-        );
-        assert_eq!(
-            run.ops, reference.ops,
-            "merged op timeline must not depend on pool width ({threads})"
-        );
+    // and the op timeline (append order under the state lock). From
+    // n = 2^14 the selection and location kernels append from blocks that
+    // run concurrently, so each width runs three times at 2^16.
+    for (log2_n, runs) in [(13, 1), (16, 3)] {
+        let reference = with_pool(1, || run_once(Variant::Optimized, log2_n, 16, 7));
+        assert!(!reference.records.is_empty() && !reference.ops.is_empty());
+        for threads in POOL_SIZES[1..].iter().copied() {
+            for _ in 0..runs {
+                let run = with_pool(threads, || run_once(Variant::Optimized, log2_n, 16, 7));
+                assert_eq!(
+                    run.records, reference.records,
+                    "per-kernel KernelStats must not depend on pool width \
+                     ({threads}) at n = 2^{log2_n}"
+                );
+                assert_eq!(
+                    run.ops, reference.ops,
+                    "merged op timeline must not depend on pool width \
+                     ({threads}) at n = 2^{log2_n}"
+                );
+            }
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use cusfft::{cufft_dense_baseline, cufft_model_time, CusFft, Variant};
+use cusfft::{cufft_dense_baseline, cufft_model_time, CusFft, StepBreakdown, Variant};
 use gpu_sim::{GpuDevice, DEFAULT_STREAM};
 use sfft_cpu::SfftParams;
 use signal::{MagnitudeModel, SparseSignal};
@@ -90,6 +90,25 @@ fn optimized_speedup_is_paper_magnitude() {
     assert!(
         (1.3..8.0).contains(&speedup),
         "optimized/baseline speedup {speedup:.2}x out of plausible band"
+    );
+}
+
+#[test]
+fn locate_is_a_minor_step_of_the_optimized_pipeline() {
+    // Index mapping gives every (bucket, preimage) pair its own thread,
+    // so location no longer dominates the device clock: at the size of
+    // the speedup check above it takes under a tenth of the makespan.
+    let n = 1 << 16;
+    let s = SparseSignal::generate(n, 64, MagnitudeModel::Unit, 3);
+    let device = Arc::new(GpuDevice::k20x());
+    let params = Arc::new(SfftParams::tuned(n, 64));
+    CusFft::new(device.clone(), params, Variant::Optimized).execute(&s.time, 1);
+    let steps = StepBreakdown::from_records(&device.records());
+    let share = steps.locate / steps.total();
+    assert!(
+        share < 0.10,
+        "locate takes {:.1}% of the optimized pipeline at n = 2^16",
+        share * 100.0
     );
 }
 

@@ -100,7 +100,10 @@ mod tests {
     fn exports_carry_cause_labels_and_annotations() {
         let a = audit_artifacts(10, 4, 8, 7, 2);
         let (prom, trace) = audit_exports(&a.report);
-        assert!(prom.contains("cause=\""), "served_total carries cause labels");
+        assert!(
+            prom.contains("cause=\""),
+            "served_total carries cause labels"
+        );
         assert!(trace.contains("policy decisions") || !trace.contains("breaker:"));
     }
 }

@@ -151,7 +151,11 @@ fn main() {
     let seed = 0xc0ffee;
 
     // Sweep profile: quick (default) vs full (paper-scale).
-    let (n_lo, n_hi) = if opts.full { (18u32, 24u32) } else { (14u32, 20u32) };
+    let (n_lo, n_hi) = if opts.full {
+        (18u32, 24u32)
+    } else {
+        (14u32, 20u32)
+    };
     let k = opts.k.unwrap_or(if opts.full { 1000 } else { 100 });
     let fixed_n = if opts.full { 24 } else { 20 };
     let ks: Vec<usize> = if opts.full {
@@ -344,7 +348,10 @@ fn check_regression(opts: &Opts) {
         .collect();
     names.sort();
     if names.is_empty() {
-        eprintln!("no BENCH_*.json baselines under {}", opts.baseline.display());
+        eprintln!(
+            "no BENCH_*.json baselines under {}",
+            opts.baseline.display()
+        );
         std::process::exit(2);
     }
 
@@ -417,13 +424,22 @@ fn chaos(opts: &Opts) {
         "Chaos exploration: deterministic fault/crash/fleet schedules vs the serving invariant suite",
         &["metric", "value"],
     );
-    t.row(vec!["schedules explored".into(), sweep.explored.to_string()]);
+    t.row(vec![
+        "schedules explored".into(),
+        sweep.explored.to_string(),
+    ]);
     t.row(vec![
         "invariant checks".into(),
         sweep.invariants_checked.to_string(),
     ]);
-    t.row(vec!["violations".into(), sweep.violations.len().to_string()]);
-    t.row(vec!["crash/recovery runs".into(), sweep.crash_runs.to_string()]);
+    t.row(vec![
+        "violations".into(),
+        sweep.violations.len().to_string(),
+    ]);
+    t.row(vec![
+        "crash/recovery runs".into(),
+        sweep.crash_runs.to_string(),
+    ]);
     t.row(vec![
         "mean recovery overhead".into(),
         format!("{:+.1}%", sweep.mean_recovery_overhead * 100.0),
@@ -458,7 +474,11 @@ fn chaos(opts: &Opts) {
             "    {{\"invariants\": [{}], \"schedule\": {}}}{}\n",
             labels_json.join(", "),
             schedule,
-            if i + 1 < sweep.violations.len() { "," } else { "" },
+            if i + 1 < sweep.violations.len() {
+                ","
+            } else {
+                ""
+            },
         ));
     }
     json.push_str("  ]\n}\n");
@@ -476,7 +496,11 @@ fn chaos(opts: &Opts) {
             artifact.push_str(&format!(
                 "  {}{}\n",
                 schedule,
-                if i + 1 < sweep.violations.len() { "," } else { "" }
+                if i + 1 < sweep.violations.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         artifact.push_str("]\n");
@@ -667,17 +691,23 @@ fn throughput(opts: &Opts, seed: u64) {
 /// makespan and accuracy against the dense-FFT oracle. Emits
 /// `BENCH_backends.json`.
 fn backends(opts: &Opts, seed: u64) {
-    let (log2_n, k, batch): (u32, usize, usize) = if opts.smoke {
-        (11, 8, 9)
-    } else {
-        (14, 16, 24)
-    };
+    let (log2_n, k, batch): (u32, usize, usize) =
+        if opts.smoke { (11, 8, 9) } else { (14, 16, 24) };
     eprintln!("[backends] n = 2^{log2_n}, k = {k}, batch = {batch}");
 
     let rows = bench::backend_sweep(log2_n, k, batch, seed);
     let mut t = Table::new(
         &format!("Backends: batch of {batch} requests, n≈2^{log2_n}, k={k} (simulated)"),
-        &["backend", "device", "batched", "groups", "makespan", "est svc", "L1 vs oracle", "recall"],
+        &[
+            "backend",
+            "device",
+            "batched",
+            "groups",
+            "makespan",
+            "est svc",
+            "L1 vs oracle",
+            "recall",
+        ],
     );
     for p in &rows {
         t.row(vec![
@@ -782,7 +812,10 @@ fn overload(opts: &Opts, seed: u64) {
     let rows = bench::overload_sweep(log2_n, k, batch, loads, seed);
     let mut t = Table::new(
         &format!("Overload: {batch} paced requests, n≈2^{log2_n}, k={k} (simulated)"),
-        &["load", "shed", "miss", "degr", "hedges", "wins", "trips", "p50 lat", "p99 lat", "req/s"],
+        &[
+            "load", "shed", "miss", "degr", "hedges", "wins", "trips", "p50 lat", "p99 lat",
+            "req/s",
+        ],
     );
     for p in &rows {
         t.row(vec![
@@ -883,7 +916,17 @@ fn hostperf(opts: &Opts, seed: u64) {
 
     let mut t = Table::new(
         "Host execution engine: wall time, pool=1 vs default pool",
-        &["log2(n)", "k", "threads", "wall seq", "wall par", "speedup", "prepare", "batch FFT", "finish"],
+        &[
+            "log2(n)",
+            "k",
+            "threads",
+            "wall seq",
+            "wall par",
+            "speedup",
+            "prepare",
+            "batch FFT",
+            "finish",
+        ],
     );
     for p in &rows {
         t.row(vec![
@@ -936,7 +979,15 @@ fn serve(opts: &Opts, log2_n: u32, k: usize, seed: u64) {
     let rows = bench::serve_sweep(log2_n, k, batch, &[1, 2, 4], seed);
     let mut t = Table::new(
         &format!("Serving: batch of {batch} requests, n≈2^{log2_n}, k={k} (simulated)"),
-        &["workers", "groups", "makespan", "req/s", "max streams", "avg streams", "cache h/m"],
+        &[
+            "workers",
+            "groups",
+            "makespan",
+            "req/s",
+            "max streams",
+            "avg streams",
+            "cache h/m",
+        ],
     );
     for p in &rows {
         t.row(vec![
@@ -958,7 +1009,16 @@ fn fig2gpu(opts: &Opts, n_lo: u32, n_hi: u32, k: usize, seed: u64) {
     let rows = bench::fig2_gpu(n_lo..=n_hi, k, seed);
     let mut t = Table::new(
         &format!("GPU step breakdown vs n (k={k}, optimized, simulated)"),
-        &["log2(n)", "perm+filter", "subFFT", "cutoff", "locate", "estimate", "transfer", "total"],
+        &[
+            "log2(n)",
+            "perm+filter",
+            "subFFT",
+            "cutoff",
+            "locate",
+            "estimate",
+            "transfer",
+            "total",
+        ],
     );
     for r in &rows {
         let s = r.steps;
@@ -1035,7 +1095,15 @@ fn comb(opts: &Opts, n_lo: u32, n_hi: u32, k: usize, seed: u64) {
 fn table1(opts: &Opts) {
     let mut t = Table::new(
         "Table I: GPU test-bench (simulated device)",
-        &["device", "cc", "cores/SMs", "clock", "shared", "global", "bandwidth"],
+        &[
+            "device",
+            "cc",
+            "cores/SMs",
+            "clock",
+            "shared",
+            "global",
+            "bandwidth",
+        ],
     );
     for spec in [DeviceSpec::tesla_k20x(), DeviceSpec::tesla_k40()] {
         t.row(vec![
@@ -1110,7 +1178,15 @@ fn fig1() {
 fn profile_table(title: &str, key: &str, rows: &[bench::ProfileRow], by_k: bool) -> Table {
     let mut t = Table::new(
         title,
-        &[key, "perm+filter", "subFFT", "cutoff", "locate", "estimate", "total"],
+        &[
+            key,
+            "perm+filter",
+            "subFFT",
+            "cutoff",
+            "locate",
+            "estimate",
+            "total",
+        ],
     );
     for r in rows {
         let sh = r.timings.shares();
@@ -1188,11 +1264,17 @@ fn fig5a(opts: &Opts, sweep: &[bench::RuntimePoint]) {
     let series = vec![
         bench::Series::new(
             "cusFFT-opt",
-            sweep.iter().map(|p| (p.log2_n as f64, p.cusfft_opt)).collect(),
+            sweep
+                .iter()
+                .map(|p| (p.log2_n as f64, p.cusfft_opt))
+                .collect(),
         ),
         bench::Series::new(
             "cusFFT-base",
-            sweep.iter().map(|p| (p.log2_n as f64, p.cusfft_base)).collect(),
+            sweep
+                .iter()
+                .map(|p| (p.log2_n as f64, p.cusfft_base))
+                .collect(),
         ),
         bench::Series::new(
             "cuFFT",
@@ -1200,7 +1282,10 @@ fn fig5a(opts: &Opts, sweep: &[bench::RuntimePoint]) {
         ),
         bench::Series::new(
             "FFTW (wall)",
-            sweep.iter().map(|p| (p.log2_n as f64, p.fftw_wall)).collect(),
+            sweep
+                .iter()
+                .map(|p| (p.log2_n as f64, p.fftw_wall))
+                .collect(),
         ),
     ];
     if !sweep.is_empty() {
@@ -1256,7 +1341,10 @@ fn fig5e(opts: &Opts, sweep: &[bench::RuntimePoint]) {
         &["log2(n)", "speedup"],
     );
     for p in sweep {
-        t.row(vec![p.log2_n.to_string(), fmt_ratio(p.speedup_over_psfft())]);
+        t.row(vec![
+            p.log2_n.to_string(),
+            fmt_ratio(p.speedup_over_psfft()),
+        ]);
     }
     print!("{}", t.render());
     let _ = t.write_csv(&opts.out, "fig5e");

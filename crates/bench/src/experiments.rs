@@ -154,11 +154,7 @@ fn profile_point(log2_n: u32, k: usize, seed: u64) -> ProfileRow {
     let s = SparseSignal::generate(n, k, MagnitudeModel::Unit, seed);
     let params = SfftParams::tuned(n, k);
     let (_, timings) = sfft_profiled(&params, &s.time, seed);
-    ProfileRow {
-        log2_n,
-        k,
-        timings,
-    }
+    ProfileRow { log2_n, k, timings }
 }
 
 /// Ablation A (Section V-A): permutation+filter kernel variants.
@@ -204,7 +200,15 @@ pub fn filter_ablation(log2_n: u32, k: usize, seed: u64) -> FilterAblation {
     device.reset_clock();
     let mut out = DeviceBuffer::zeroed(b);
     perm_filter_partition(
-        &device, &signal, &taps_buf, w_pad, w, b, &perm, &mut out, DEFAULT_STREAM,
+        &device,
+        &signal,
+        &taps_buf,
+        w_pad,
+        w,
+        b,
+        &perm,
+        &mut out,
+        DEFAULT_STREAM,
     )
     .expect("fault-free device");
     let partition = device.elapsed();
@@ -372,8 +376,12 @@ pub fn device_sweep(log2_n: u32, k: usize, seed: u64) -> Vec<(String, f64)> {
         .into_iter()
         .map(|spec| {
             let name = spec.name.clone();
-            let out = CusFft::new(Arc::new(GpuDevice::new(spec)), params.clone(), Variant::Optimized)
-                .execute(&s.time, seed);
+            let out = CusFft::new(
+                Arc::new(GpuDevice::new(spec)),
+                params.clone(),
+                Variant::Optimized,
+            )
+            .execute(&s.time, seed);
             (name, out.sim_time)
         })
         .collect()
@@ -598,7 +606,8 @@ pub fn serve_sweep(
                     cache_capacity: 8,
                     ..cusfft::ServeConfig::default()
                 },
-            ).expect("serve config is valid");
+            )
+            .expect("serve config is valid");
             let report = engine.serve_batch(&requests);
             ServePoint {
                 workers,
@@ -669,7 +678,8 @@ pub fn throughput_sweep(log2_n: u32, k: usize, batch: usize, seed: u64) -> Vec<T
                     ..cusfft::ServeConfig::default()
                 },
                 registry,
-            ).expect("serve config is valid");
+            )
+            .expect("serve config is valid");
             let report = engine.serve_batch(&requests);
             let mut perm_txns = 0.0;
             let mut total_txns = 0.0;
@@ -804,7 +814,8 @@ pub fn overload_sweep(
                     faults: Some(gpu_sim::FaultConfig::uniform(seed, 0.002).with_sdc(0.01)),
                     ..cusfft::ServeConfig::default()
                 },
-            ).expect("serve config is valid");
+            )
+            .expect("serve config is valid");
             let report = engine.serve_overload(&trace, &policy);
             let ov = report.overload;
             let n = trace.len() as f64;
@@ -866,7 +877,8 @@ pub fn breaker_vs_retry(log2_n: u32, k: usize, batch: usize, seed: u64) -> (f64,
         faults: Some(gpu_sim::FaultConfig::persistent(seed)),
         ..cusfft::ServeConfig::default()
     };
-    let breaker = cusfft::ServeEngine::new(DeviceSpec::tesla_k20x(), cfg).expect("serve config is valid");
+    let breaker =
+        cusfft::ServeEngine::new(DeviceSpec::tesla_k20x(), cfg).expect("serve config is valid");
     let policy = cusfft::OverloadConfig {
         queue_capacity: batch.max(1),
         brownout_depth: batch.max(1),
@@ -882,7 +894,8 @@ pub fn breaker_vs_retry(log2_n: u32, k: usize, batch: usize, seed: u64) -> (f64,
         ..cusfft::OverloadConfig::default()
     };
     let over = breaker.serve_overload(&trace, &policy);
-    let retry = cusfft::ServeEngine::new(DeviceSpec::tesla_k20x(), cfg).expect("serve config is valid");
+    let retry =
+        cusfft::ServeEngine::new(DeviceSpec::tesla_k20x(), cfg).expect("serve config is valid");
     let legacy = retry.serve_batch(&requests);
     (over.throughput, legacy.throughput)
 }
@@ -927,7 +940,8 @@ pub fn backend_sweep(log2_n: u32, k: usize, batch: usize, seed: u64) -> Vec<Back
                 cache_capacity: 8,
                 ..ServeConfig::default()
             },
-        ).expect("serve config is valid")
+        )
+        .expect("serve config is valid")
         .serve_batch(&reqs)
     };
 
@@ -1196,7 +1210,11 @@ mod tests {
         for p in &rows {
             assert_eq!(p.caps.kind, p.backend);
             assert_eq!(p.requests, 6);
-            assert!(p.est_service > 0.0, "{}: pricer yields real time", p.backend.label());
+            assert!(
+                p.est_service > 0.0,
+                "{}: pricer yields real time",
+                p.backend.label()
+            );
             assert!(
                 p.l1_vs_oracle <= p.caps.oracle_bound,
                 "{}: ℓ1 {} within documented bound {}",
@@ -1204,11 +1222,21 @@ mod tests {
                 p.l1_vs_oracle,
                 p.caps.oracle_bound
             );
-            assert!(p.oracle_recall > 0.99, "{}: clean batch fully recovered", p.backend.label());
+            assert!(
+                p.oracle_recall > 0.99,
+                "{}: clean batch fully recovered",
+                p.backend.label()
+            );
         }
-        let dense = rows.iter().find(|p| p.backend == cusfft::BackendKind::DenseFft).unwrap();
+        let dense = rows
+            .iter()
+            .find(|p| p.backend == cusfft::BackendKind::DenseFft)
+            .unwrap();
         assert_eq!(dense.l1_vs_oracle, 0.0, "the oracle matches itself exactly");
-        let gpu = rows.iter().find(|p| p.backend == cusfft::BackendKind::GpuSim).unwrap();
+        let gpu = rows
+            .iter()
+            .find(|p| p.backend == cusfft::BackendKind::GpuSim)
+            .unwrap();
         assert!(gpu.makespan > 0.0, "device backend occupies simulated time");
     }
 

@@ -24,16 +24,16 @@ pub mod table;
 pub mod telemetry;
 pub mod viz;
 
+pub use audit::{audit_artifacts, audit_exports, AuditArtifacts};
 pub use experiments::{
     backend_sweep, batched_fft_ablation, breaker_vs_retry, chaos_sweep, comb_ablation,
-    device_sweep, fig2a, fig2b, fig5a, fig5b, fig5f, fig2_gpu, filter_ablation, fleet_sweep,
+    device_sweep, fig2_gpu, fig2a, fig2b, fig5a, fig5b, fig5f, filter_ablation, fleet_sweep,
     host_parallel_bench, host_parallel_point, noise_sweep, overload_policy, overload_sweep,
     overload_trace, runtime_point, selection_ablation, serve_requests, serve_sweep,
     throughput_sweep, BackendPoint, ChaosSweep, CombAblation, FilterAblation, FleetPoint,
     GpuProfileRow, HostParallelPoint, NoisePoint, OverloadPoint, ProfileRow, RuntimePoint,
     SelectionAblation, ServePoint, ThroughputPoint,
 };
-pub use audit::{audit_artifacts, audit_exports, AuditArtifacts};
 pub use regress::check_file;
 pub use table::{fmt_ratio, fmt_secs, Table};
 pub use telemetry::{telemetry_artifacts, TelemetryArtifacts};

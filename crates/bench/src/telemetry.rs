@@ -49,7 +49,8 @@ pub fn telemetry_artifacts(
             faults: Some(gpu_sim::FaultConfig::uniform(seed, 0.01).with_sdc(0.01)),
             ..cusfft::ServeConfig::default()
         },
-    ).expect("serve config is valid");
+    )
+    .expect("serve config is valid");
     let report = engine.serve_overload(&trace, &policy);
 
     let tree = observe::span_tree(&report);

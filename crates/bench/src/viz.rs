@@ -28,7 +28,10 @@ const MARKS: [char; 6] = ['o', 'x', '+', '*', '#', '@'];
 /// log2-scaled y axis (the natural scale for runtime plots) and linear x.
 pub fn render_chart(title: &str, series: &[Series], width: usize, height: usize) -> String {
     assert!(width >= 16 && height >= 4, "chart too small");
-    let pts: Vec<(f64, f64)> = series.iter().flat_map(|s| s.points.iter().copied()).collect();
+    let pts: Vec<(f64, f64)> = series
+        .iter()
+        .flat_map(|s| s.points.iter().copied())
+        .collect();
     if pts.is_empty() {
         return format!("== {title} ==\n(no data)\n");
     }
@@ -42,8 +45,7 @@ pub fn render_chart(title: &str, series: &[Series], width: usize, height: usize)
         let mark = MARKS[si % MARKS.len()];
         for &(x, y) in &s.points {
             let cx = (((x - x_min) / x_span) * (width - 1) as f64).round() as usize;
-            let cy = (((y.max(f64::MIN_POSITIVE).log2() - y_min) / y_span)
-                * (height - 1) as f64)
+            let cy = (((y.max(f64::MIN_POSITIVE).log2() - y_min) / y_span) * (height - 1) as f64)
                 .round() as usize;
             let row = height - 1 - cy.min(height - 1);
             grid[row][cx.min(width - 1)] = mark;
@@ -127,7 +129,10 @@ mod tests {
     fn growing_series_slopes_up() {
         let s = render_chart(
             "slope",
-            &[Series::new("up", (0..10).map(|i| (i as f64, 4f64.powi(i))).collect())],
+            &[Series::new(
+                "up",
+                (0..10).map(|i| (i as f64, 4f64.powi(i))).collect(),
+            )],
             40,
             12,
         );

@@ -83,8 +83,7 @@ fn exports_are_byte_identical_across_workers_and_pools() {
 /// Contract 3: the artifacts are structurally sound — the trace passes
 /// the schema validator, and both hand-rolled JSON documents parse.
 #[test]
-fn artifacts_are_well_formed()
-{
+fn artifacts_are_well_formed() {
     let art = smoke(2);
     let summary = validate_chrome_trace(&art.trace_json).expect("trace event schema");
     assert!(summary.events > 0, "trace must carry events");
@@ -92,7 +91,15 @@ fn artifacts_are_well_formed()
 
     let parsed = parse_json(&art.summary_json).expect("summary is valid JSON");
     let obj = parsed.as_object().expect("summary is an object");
-    for key in ["experiment", "profile", "trace", "spans", "outcomes", "path_latency", "metrics"] {
+    for key in [
+        "experiment",
+        "profile",
+        "trace",
+        "spans",
+        "outcomes",
+        "path_latency",
+        "metrics",
+    ] {
         assert!(
             obj.iter().any(|(k, _)| k == key),
             "summary is missing key {key:?}"
@@ -101,7 +108,8 @@ fn artifacts_are_well_formed()
 
     assert!(!art.metrics_prom.is_empty());
     assert!(
-        art.metrics_prom.contains("# TYPE cusfft_requests_total counter"),
+        art.metrics_prom
+            .contains("# TYPE cusfft_requests_total counter"),
         "exposition carries typed families"
     );
     assert!(

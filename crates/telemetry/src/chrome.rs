@@ -96,7 +96,12 @@ pub fn chrome_trace_annotated(
     };
 
     // --- process / thread metadata -------------------------------------
-    events.push(meta(1, None, "process_name", "device timeline (merged streams)"));
+    events.push(meta(
+        1,
+        None,
+        "process_name",
+        "device timeline (merged streams)",
+    ));
     events.push(meta(2, None, "process_name", "serve spans"));
     events.push(meta(3, None, "process_name", "requests"));
     // Annotation categories, one policy thread each, in first-appearance
@@ -118,7 +123,12 @@ pub fn chrome_trace_annotated(
     streams.sort_unstable();
     streams.dedup();
     for &s in &streams {
-        events.push(meta(1, Some(u64::from(s)), "thread_name", &format!("stream {s}")));
+        events.push(meta(
+            1,
+            Some(u64::from(s)),
+            "thread_name",
+            &format!("stream {s}"),
+        ));
     }
     let group_spans: Vec<&Span> = tree
         .spans
@@ -229,8 +239,7 @@ pub fn chrome_trace_annotated(
     // Per category (= track), sorted by (ts, name) so per-track ts is
     // non-decreasing regardless of producer order.
     for (tid, cat) in note_cats.iter().enumerate() {
-        let mut on_track: Vec<&TraceAnnotation> =
-            notes.iter().filter(|n| n.cat == *cat).collect();
+        let mut on_track: Vec<&TraceAnnotation> = notes.iter().filter(|n| n.cat == *cat).collect();
         on_track.sort_by(|a, b| {
             a.ts.partial_cmp(&b.ts)
                 .unwrap()
@@ -420,7 +429,9 @@ mod tests {
             {"ph": "X", "pid": 1, "tid": 0, "ts": 5.0, "dur": 1.0, "name": "a"},
             {"ph": "X", "pid": 1, "tid": 0, "ts": 2.0, "dur": 1.0, "name": "b"}
         ]}"#;
-        assert!(validate_chrome_trace(bad).unwrap_err().contains("backwards"));
+        assert!(validate_chrome_trace(bad)
+            .unwrap_err()
+            .contains("backwards"));
         assert!(validate_chrome_trace("[]").is_err());
         assert!(validate_chrome_trace("{\"traceEvents\": 3}").is_err());
         assert!(validate_chrome_trace("not json").is_err());

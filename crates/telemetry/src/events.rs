@@ -214,20 +214,27 @@ mod tests {
         assert_eq!(root, 0);
         assert_eq!(child, 1);
         log.validate_forest(|e| e.name == "admitted").unwrap();
-        assert!(log
-            .validate_forest(|e| e.name == "something_else")
-            .is_err());
+        assert!(log.validate_forest(|e| e.name == "something_else").is_err());
     }
 
     #[test]
     fn renderers_are_deterministic() {
         let mut log = EventLog::new();
-        log.push(None, 0.5e-3, Some(3), None, "shed", vec![("depth".into(), "7".into())]);
+        log.push(
+            None,
+            0.5e-3,
+            Some(3),
+            None,
+            "shed",
+            vec![("depth".into(), "7".into())],
+        );
         log.push(Some(0), 0.5e-3, Some(3), None, "terminal", vec![]);
         assert_eq!(log.to_json(), log.clone().to_json());
         assert_eq!(log.to_text(), log.clone().to_text());
         assert!(log.to_json().contains("\"kind\": \"shed\""));
-        assert!(log.to_text().contains("#1 [0.0005] terminal(request=3) <- #0"));
+        assert!(log
+            .to_text()
+            .contains("#1 [0.0005] terminal(request=3) <- #0"));
     }
 
     #[test]

@@ -196,9 +196,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let code = u32::from_str_radix(
                             std::str::from_utf8(hex).map_err(|e| e.to_string())?,
                             16,
@@ -232,11 +230,11 @@ mod tests {
         let v = parse(r#"{"a": [1, 2.5, -3e-2], "b": {"c": "x\ny"}, "d": [true, false, null]}"#)
             .unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_f64(), Some(2.5));
         assert_eq!(
-            v.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ny")
+            v.get("a").unwrap().as_array().unwrap()[1].as_f64(),
+            Some(2.5)
         );
+        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("d").unwrap().as_array().unwrap()[2], JsonValue::Null);
     }
 

@@ -30,7 +30,9 @@ pub mod json;
 pub mod metrics;
 pub mod span;
 
-pub use chrome::{chrome_trace, chrome_trace_annotated, validate_chrome_trace, TraceAnnotation, TraceSummary};
+pub use chrome::{
+    chrome_trace, chrome_trace_annotated, validate_chrome_trace, TraceAnnotation, TraceSummary,
+};
 pub use events::{Event, EventLog};
 pub use json::{parse as parse_json, JsonValue};
 pub use metrics::{fmt_f64, Histogram, MetricKind, Registry, Sample, HIST_BOUNDS};

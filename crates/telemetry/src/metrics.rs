@@ -18,8 +18,8 @@ use std::fmt::Write as _;
 /// worker/host-pool configuration that produced it; observations above
 /// the last bound land in the implicit `+Inf` bucket.
 pub const HIST_BOUNDS: [f64; 24] = [
-    1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2,
-    1e-1, 2e-1, 5e-1, 1.0, 2.0, 5.0, 1e1, 2e1, 5e1,
+    1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1,
+    2e-1, 5e-1, 1.0, 2.0, 5.0, 1e1, 2e1, 5e1,
 ];
 
 /// A fixed-bucket histogram over [`HIST_BOUNDS`] (+ an `+Inf` bucket).

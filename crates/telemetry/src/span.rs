@@ -303,9 +303,7 @@ pub struct RequestMeta {
 
 /// Stable span id: a splitmix64-style mix of deterministic coordinates.
 fn span_id(kind: SpanKind, a: u64, b: u64, c: u64) -> u64 {
-    let mut z = kind
-        .code()
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    let mut z = kind.code().wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ a.wrapping_mul(0xbf58_476d_1ce4_e5b9)
         ^ b.wrapping_mul(0x94d0_49bb_1331_11eb)
         ^ c.wrapping_mul(0xd6e8_feb8_6659_fd93);
@@ -338,10 +336,7 @@ impl AttemptKey {
                 attempt: 0,
             }),
             OpAttribution::Retry {
-                j,
-                attempt,
-                hedged,
-                ..
+                j, attempt, hedged, ..
             } => Some(AttemptKey {
                 hedged,
                 kind: KIND_RETRY,
@@ -510,7 +505,10 @@ pub fn build_span_tree(
             .find(|(g, _)| *g == gid)
             .map(|(_, a)| a.as_slice())
             .unwrap_or(&[]);
-        let all_ops: Vec<usize> = attempts.iter().flat_map(|(_, v)| v.iter().copied()).collect();
+        let all_ops: Vec<usize> = attempts
+            .iter()
+            .flat_map(|(_, v)| v.iter().copied())
+            .collect();
         let (start, end) = if all_ops.is_empty() {
             (0.0, 0.0)
         } else {
@@ -573,7 +571,10 @@ pub fn build_span_tree(
             Some(gid) => {
                 let g = spans
                     .iter()
-                    .find(|s| s.kind == SpanKind::Group && s.id == span_id(SpanKind::Group, gid as u64, 0, 0))
+                    .find(|s| {
+                        s.kind == SpanKind::Group
+                            && s.id == span_id(SpanKind::Group, gid as u64, 0, 0)
+                    })
                     .expect("group span exists");
                 (g.start, g.end)
             }

@@ -263,9 +263,13 @@ mod tests {
         let mut s = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         (0..n)
             .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let a = ((s >> 16) as u32 as f64) / u32::MAX as f64 - 0.5;
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let b = ((s >> 16) as u32 as f64) / u32::MAX as f64 - 0.5;
                 Cplx::new(a, b)
             })

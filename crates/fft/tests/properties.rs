@@ -11,8 +11,7 @@ fn cplx_strategy() -> impl Strategy<Value = Cplx> {
 }
 
 fn signal(max_log2: u32) -> impl Strategy<Value = Vec<Cplx>> {
-    (0..=max_log2)
-        .prop_flat_map(move |log2| prop::collection::vec(cplx_strategy(), 1usize << log2))
+    (0..=max_log2).prop_flat_map(move |log2| prop::collection::vec(cplx_strategy(), 1usize << log2))
 }
 
 fn arbitrary_len_signal() -> impl Strategy<Value = Vec<Cplx>> {

@@ -41,8 +41,8 @@ pub fn dolph_width(lobefrac: f64, tolerance: f64) -> usize {
         tolerance > 0.0 && tolerance < 1.0,
         "tolerance out of (0, 1)"
     );
-    let mut w = ((1.0 / std::f64::consts::PI) * (1.0 / lobefrac) * (1.0 / tolerance).acosh())
-        as usize;
+    let mut w =
+        ((1.0 / std::f64::consts::PI) * (1.0 / lobefrac) * (1.0 / tolerance).acosh()) as usize;
     if w.is_multiple_of(2) {
         w = w.saturating_sub(1);
     }
@@ -63,8 +63,9 @@ pub fn dolph_chebyshev(w: usize, tolerance: f64) -> Vec<f64> {
     // Frequency samples of the window (real).
     let freq: Vec<Cplx> = (0..w)
         .map(|i| {
-            Cplx::real(cheb_poly(m, t0 * (std::f64::consts::PI * i as f64 / w as f64).cos())
-                * tolerance)
+            Cplx::real(
+                cheb_poly(m, t0 * (std::f64::consts::PI * i as f64 / w as f64).cos()) * tolerance,
+            )
         })
         .collect();
     // Inverse transform to time domain; the result is real up to rounding.
@@ -73,9 +74,7 @@ pub fn dolph_chebyshev(w: usize, tolerance: f64) -> Vec<f64> {
     // rotate so the peak sits at w/2.
     fft::shift::rotate_right(&mut time, w / 2);
     let peak = time[w / 2].re;
-    time.iter()
-        .map(|c| c.re / peak)
-        .collect()
+    time.iter().map(|c| c.re / peak).collect()
 }
 
 #[cfg(test)]

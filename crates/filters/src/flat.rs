@@ -100,8 +100,7 @@ impl FlatFilter {
             .enumerate()
             .map(|(idx, v)| {
                 let f = start + idx as i64;
-                let phase =
-                    Cplx::cis(std::f64::consts::TAU * (f * half) as f64 / n as f64);
+                let phase = Cplx::cis(std::f64::consts::TAU * (f * half) as f64 / n as f64);
                 v * phase
             })
             .collect();
@@ -299,10 +298,7 @@ mod tests {
             let dist = fr.min(n as i64 - fr);
             if dist > stop_edge {
                 let v = full[fr as usize].abs();
-                assert!(
-                    v < 1e-3,
-                    "stopband leakage at {fr} (dist {dist}): {v}"
-                );
+                assert!(v < 1e-3, "stopband leakage at {fr} (dist {dist}): {v}");
             }
         }
     }

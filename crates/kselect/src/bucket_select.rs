@@ -155,7 +155,11 @@ mod tests {
             .map(|i| ((i * 48271) % 65537) as f64 / 65537.0)
             .collect();
         let res = bucket_select(&v, 100);
-        assert!(res.stats.passes <= 3, "uniform: {} passes", res.stats.passes);
+        assert!(
+            res.stats.passes <= 3,
+            "uniform: {} passes",
+            res.stats.passes
+        );
         check_top_k(&v, 100);
     }
 

@@ -5,7 +5,11 @@
 /// Returns the value of the `k`-th largest element (1-based: `k = 1` is
 /// the maximum). Average O(n).
 pub fn kth_largest(values: &[f64], k: usize) -> f64 {
-    assert!(k >= 1 && k <= values.len(), "k={k} out of 1..={}", values.len());
+    assert!(
+        k >= 1 && k <= values.len(),
+        "k={k} out of 1..={}",
+        values.len()
+    );
     let mut buf: Vec<f64> = values.to_vec();
     let idx = k - 1;
     let (_, kth, _) = buf.select_nth_unstable_by(idx, |a, b| {
@@ -67,9 +71,7 @@ mod tests {
 
     #[test]
     fn matches_sort_oracle_as_a_set() {
-        let v: Vec<f64> = (0..5000)
-            .map(|i| ((i * 48271) % 65537) as f64)
-            .collect();
+        let v: Vec<f64> = (0..5000).map(|i| ((i * 48271) % 65537) as f64).collect();
         let k = 37;
         let mut a = quickselect_top_k(&v, k);
         let mut b = crate::sort_select::sort_select_seq(&v, k);

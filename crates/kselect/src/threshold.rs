@@ -34,8 +34,9 @@ pub fn noise_floor_threshold(values: &[f64], sample: usize, factor: f64) -> f64 
     let stride = (values.len() / sample).max(1);
     let mut picks: Vec<f64> = values.iter().step_by(stride).copied().collect();
     let mid = picks.len() / 2;
-    let (_, med, _) =
-        picks.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let (_, med, _) = picks.select_nth_unstable_by(mid, |a, b| {
+        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+    });
     *med * factor
 }
 

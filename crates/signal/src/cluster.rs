@@ -20,12 +20,7 @@ use crate::gen::SparseSignal;
 /// `k / cluster_size` clusters of `cluster_size` *adjacent* frequencies.
 ///
 /// `cluster_size = 1` reduces to the uniform model.
-pub fn clustered_signal(
-    n: usize,
-    k: usize,
-    cluster_size: usize,
-    seed: u64,
-) -> SparseSignal {
+pub fn clustered_signal(n: usize, k: usize, cluster_size: usize, seed: u64) -> SparseSignal {
     assert!(fft::is_pow2(n), "n must be a power of two");
     assert!(cluster_size >= 1 && cluster_size <= k, "bad cluster size");
     assert!(k <= n / 4, "support too dense");

@@ -136,12 +136,8 @@ mod tests {
 
     #[test]
     fn uniform_model_respects_bounds() {
-        let s = SparseSignal::generate(
-            1 << 10,
-            30,
-            MagnitudeModel::Uniform { lo: 2.0, hi: 5.0 },
-            9,
-        );
+        let s =
+            SparseSignal::generate(1 << 10, 30, MagnitudeModel::Uniform { lo: 2.0, hi: 5.0 }, 9);
         for &(_, v) in &s.coords {
             let m = v.abs();
             assert!((2.0 - 1e-9..=5.0 + 1e-9).contains(&m));
@@ -156,9 +152,7 @@ mod tests {
             assert!(got.dist(v) < 1e-9, "coefficient {f}: {got:?} vs {v:?}");
         }
         // A frequency outside the support is ~zero.
-        let outside = (0..s.n)
-            .find(|f| s.coeff_at(*f) == ZERO)
-            .unwrap();
+        let outside = (0..s.n).find(|f| s.coeff_at(*f) == ZERO).unwrap();
         assert!(dft_coefficient(&s.time, outside).abs() < 1e-9);
     }
 
